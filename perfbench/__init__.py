@@ -1,0 +1,5 @@
+"""Seeded end-to-end and per-layer benchmark of the extraction flagship.
+
+Run it from the repository root with ``python3 perfbench/run.py``; see
+``perfbench/README.md``.
+"""
