@@ -41,19 +41,16 @@ HEADLINE_ONLY = os.environ.get("GRAFT_HEADLINE_ONLY", "") == "1"
 DUMP_STATS = os.environ.get("GRAFT_DUMP_STATS", "") == "1"
 
 
-def _headline(num_cpus: int) -> tuple[float, float, float, int]:
+def _headline(num_cpus: int) -> tuple[float, float, int]:
     """Flagship extraction pipeline over the bench transcripts table:
-    read → actor-pool extract → ordering restore → count. Times THREE
-    paths: the mandated salted-hash shuffle (headline), the
-    partition-aware no-exchange path (valid because the input layout
-    co-locates conversations per file — the engine's designed layout),
-    and extract-only (no ordering restore at all). The extract-only
-    run is the CONTROL for the scaling criterion: it has no exchange,
-    so its 8→32 efficiency is the pure hardware ceiling of the
-    CPU-bound parse+match on this box; pipeline efficiency ≈ control
-    efficiency means the exchange adds no scaling penalty (VERDICT r2
-    #1a). Returns (shuffle_sec, partitioned_sec, extract_only_sec,
-    rows)."""
+    read → extract tasks → ordering restore → count. Times TWO paths:
+    the mandated salted-hash shuffle (headline) and extract-only (no
+    ordering restore at all). The extract-only run is the CONTROL for
+    the scaling criterion: it has no exchange, so its 8→32 efficiency
+    is the pure hardware ceiling of the CPU-bound parse+match on this
+    box; pipeline efficiency ≈ control efficiency means the exchange
+    adds no scaling penalty (VERDICT r2 #1a). Returns (shuffle_sec,
+    extract_only_sec, rows)."""
     from weakscraper_ray.pipelines import run_flagship
     from weakscraper_ray.transcripts import ensure_generated
 
@@ -66,7 +63,7 @@ def _headline(num_cpus: int) -> tuple[float, float, float, int]:
     # (hypervisor neighbors); a single-shot headline regularly lands on
     # one. Interleaved variants per rep, best per variant.
     reps = int(os.environ.get("GRAFT_HEADLINE_REPS", "2"))
-    dt = dt_part = dt_extract = float("inf")
+    dt = dt_extract = float("inf")
     rows = 0
     for rep in range(reps):
         t0 = time.perf_counter()
@@ -77,12 +74,9 @@ def _headline(num_cpus: int) -> tuple[float, float, float, int]:
             print(ds.stats(), file=sys.stderr)
         dt = min(dt, dt_i)
         t0 = time.perf_counter()
-        run_flagship(input_dir, ordering_mode="partitioned").count()
-        dt_part = min(dt_part, time.perf_counter() - t0)
-        t0 = time.perf_counter()
         run_flagship(input_dir, restore_ordering=False).count()
         dt_extract = min(dt_extract, time.perf_counter() - t0)
-    return dt, dt_part, dt_extract, rows
+    return dt, dt_extract, rows
 
 
 def _run_queries(sf_dir: str) -> tuple[dict[str, float], dict, dict]:
@@ -164,7 +158,7 @@ def _run_queries(sf_dir: str) -> tuple[dict[str, float], dict, dict]:
     ]
     # untimed warm-up (VERDICT r3 #6): the first timed query otherwise
     # absorbs worker-pool spawn + per-worker module import for the
-    # query path (the flagship warm-up covers only the extract actors;
+    # query path (the flagship warm-up covers only the extract workers;
     # r3's pricing_summary "regression" was exactly this absorption)
     warm = R.QUERIES["pricing_summary"](sf_dir)
     if hasattr(warm, "count"):
@@ -320,7 +314,7 @@ def main() -> None:
 
     ensure_generated(BENCH_SIZE)
 
-    headline_sec, part_sec, extract_sec, rows = _headline(NUM_CPUS)
+    headline_sec, extract_sec, rows = _headline(NUM_CPUS)
     if HEADLINE_ONLY:
         queries, retries, gates = {}, {}, {}
     else:
@@ -350,8 +344,6 @@ def main() -> None:
                 "num_cpus": NUM_CPUS,
                 "rows": rows,
                 "turns_per_sec": round(rows / headline_sec, 1),
-                "partition_aware_sec": round(part_sec, 3),
-                "partition_aware_turns_per_sec": round(rows / part_sec, 1),
                 "extract_only_sec": round(extract_sec, 3),
                 "extract_only_turns_per_sec": round(rows / extract_sec, 1),
                 # both samples for every slow-tail re-timed entry
@@ -459,9 +451,6 @@ def scaling() -> None:
     r_lo, r_hi = best(lo_runs, "value"), best(hi_runs, "value")
     t_lo, t_hi = r_lo["value"], r_hi["value"]
     eff = (t_lo / t_hi) / (hi / lo)
-    p_lo = best(lo_runs, "partition_aware_sec")["partition_aware_sec"]
-    p_hi = best(hi_runs, "partition_aware_sec")["partition_aware_sec"]
-    eff_part = (p_lo / p_hi) / (hi / lo)
     x_lo = best(lo_runs, "extract_only_sec")["extract_only_sec"]
     x_hi = best(hi_runs, "extract_only_sec")["extract_only_sec"]
     eff_extract = (x_lo / x_hi) / (hi / lo)
@@ -474,12 +463,6 @@ def scaling() -> None:
                 "turns_per_sec_32": r_hi["turns_per_sec"],
                 "scaling_efficiency": round(eff, 3),
                 "scaling_efficiency_median": round(median_eff("value"), 3),
-                "partition_aware_sec_8": p_lo,
-                "partition_aware_sec_32": p_hi,
-                "partition_aware_scaling_efficiency": round(eff_part, 3),
-                "partition_aware_scaling_efficiency_median": round(
-                    median_eff("partition_aware_sec"), 3
-                ),
                 # CONTROL: no-exchange extract-only efficiency = the
                 # hardware ceiling of CPU-bound python on this box; the
                 # exchange is exonerated when pipeline eff ≈ this

@@ -23,7 +23,7 @@ def extracted(ray_session):
 
     tiny = ensure_generated("tiny")
     # spans (list<struct>) kept: the sink is Arrow-native end to end
-    return run_flagship(tiny, concurrency=2, batch_size=64, restore_ordering=False)
+    return run_flagship(tiny, batch_size=64, restore_ordering=False)
 
 
 def test_write_resume_skips_committed(extracted, tmp_path):

@@ -2,7 +2,7 @@
 
 The generated transcripts table carries an expected.parquet oracle
 computed from known template fills; the full Ray pipeline (read →
-actor-pool extract → salted groupby ordering restore) must reproduce
+extract tasks → salted groupby ordering restore) must reproduce
 it per turn — text equality under stable (conv_id, turn_idx) ordering.
 """
 
@@ -23,7 +23,7 @@ def tiny_dir(ray_session):
 def extracted_df(tiny_dir):
     from weakscraper_ray.pipelines import run_flagship
 
-    ds = run_flagship(tiny_dir, concurrency=2, batch_size=64)
+    ds = run_flagship(tiny_dir, batch_size=64)
     return ds.to_pandas()
 
 
@@ -60,9 +60,7 @@ def test_groups_internally_sorted(tiny_dir):
     (conv_id, salt) group even though input files are shuffled."""
     from weakscraper_ray.pipelines import read_transcripts, extraction_pipeline
 
-    ds = extraction_pipeline(
-        read_transcripts(tiny_dir), concurrency=2, batch_size=64
-    )
+    ds = extraction_pipeline(read_transcripts(tiny_dir), batch_size=64)
     for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
         df = batch.to_pandas()
         for conv, g in df.groupby("conv_id", sort=False):
@@ -89,45 +87,14 @@ def test_no_route_column_fallback(tiny_dir, ray_session):
 
     ds = read_transcripts(tiny_dir, with_route=False)
     out = extraction_pipeline(
-        ds, concurrency=2, batch_size=64, restore_ordering=False
+        ds, batch_size=64, restore_ordering=False
     ).to_pandas()
     assert (out["status"] == "ok").sum() > 0
 
 
-def test_partition_aware_ordering_equivalent(tiny_dir, ray_session):
-    """ordering_mode='partitioned' (no exchange; valid because the
-    generator co-locates each conversation in one file) must produce
-    the same per-turn rows as the shuffle path."""
-    from weakscraper_ray.pipelines import read_transcripts, extraction_pipeline
-
-    a = (
-        extraction_pipeline(read_transcripts(tiny_dir), concurrency=2,
-                            batch_size=64, ordering_mode="partitioned")
-        .drop_columns(["spans"]).to_pandas()
-        .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
-    )
-    b = (
-        extraction_pipeline(read_transcripts(tiny_dir), concurrency=2,
-                            batch_size=64, ordering_mode="shuffle")
-        .drop_columns(["spans"]).to_pandas()
-        .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
-    )
-    assert a[["conv_id", "turn_idx", "extracted_text", "fields"]].equals(
-        b[["conv_id", "turn_idx", "extracted_text", "fields"]]
-    )
-    # and each output batch of the partitioned path is internally sorted
-    ds = extraction_pipeline(read_transcripts(tiny_dir), concurrency=2,
-                             batch_size=64, ordering_mode="partitioned")
-    for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-        df = batch.to_pandas()
-        assert df.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)[
-            ["conv_id", "turn_idx"]
-        ].equals(df.reset_index(drop=True)[["conv_id", "turn_idx"]])
-
-
 def test_user_functions_through_ray(tiny_dir, ray_session):
     """wp-function user post-processors (SURVEY.md D5 / §2.8) ship to
-    the actor pool via fn_constructor_kwargs and run per capture."""
+    the extract tasks inside the pickled Extractor and run per capture."""
     import json
 
     from weakscraper_ray.pipelines import read_transcripts, extraction_pipeline
@@ -144,7 +111,6 @@ def test_user_functions_through_ray(tiny_dir, ray_session):
         read_transcripts(tiny_dir),
         templates=templates,
         functions={"shout": shout},
-        concurrency=2,
         batch_size=64,
         restore_ordering=False,
     ).to_pandas()
@@ -182,3 +148,53 @@ def test_per_turn_equality_small_scale(ray_session):
     assert (got["fields"] == exp["fields"]).all()
     err = exp["error_kind"].isin(["", "not_html"]) == False  # noqa: E712
     assert (got.loc[err, "error_kind"] == exp.loc[err, "error_kind"]).all()
+
+
+_ONE_CPU_SCRIPT = """
+import ray
+from ray.data import DataContext
+
+ray.init(address="local", num_cpus=1, object_store_memory=200 * 2**20,
+         include_dashboard=False, logging_level="ERROR", log_to_driver=False)
+DataContext.get_current().enable_progress_bars = False
+from weakscraper_ray.pipelines import extraction_pipeline, read_transcripts
+
+ds = extraction_pipeline(read_transcripts({src!r}), restore_ordering=False)
+print(sum(b.num_rows for b in ds.iter_batches(batch_format="pyarrow")))
+ray.shutdown()
+"""
+
+
+def test_extract_only_completes_on_one_cpu(tmp_path):
+    """Extract-only must finish on a 1-CPU Ray session: the stage
+    reserves no CPUs ahead of its tasks, so it cannot out-demand a small
+    session. Runs in its own process because the tests share one
+    4-CPU session; the process group is killed on timeout so a hang
+    leaves no Ray cluster behind."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    src = ensure_generated("tiny")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_SCRIPT.format(src=src)],
+        cwd=str(tmp_path), env=env, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("extract-only did not finish within 60 s on 1 CPU")
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # stray Ray daemons
+        except ProcessLookupError:
+            pass
+    assert proc.returncode == 0, err[-2000:]
+    assert int(out.strip().splitlines()[-1]) == 119

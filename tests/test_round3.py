@@ -683,8 +683,7 @@ def test_jsonl_sink_roundtrip_and_manifests(ray_session, tmp_path):
     from weakscraper_ray.transcripts import ensure_generated
 
     ds = run_flagship(
-        ensure_generated("tiny"), concurrency=2, batch_size=64,
-        restore_ordering=False,
+        ensure_generated("tiny"), batch_size=64, restore_ordering=False,
     )
     out = str(tmp_path / "jsonl_sink")
     mf = write_partitioned(ds, out, n_shards=4, fmt="jsonl")
@@ -1159,8 +1158,7 @@ def test_csv_sink_roundtrip_and_manifests(ray_session, tmp_path):
     from weakscraper_ray.transcripts import ensure_generated
 
     ds = run_flagship(
-        ensure_generated("tiny"), concurrency=2, batch_size=64,
-        restore_ordering=False,
+        ensure_generated("tiny"), batch_size=64, restore_ordering=False,
     )
     out = str(tmp_path / "csv_sink")
     mf = write_partitioned(ds, out, n_shards=4, fmt="csv")

@@ -293,8 +293,7 @@ def test_orc_sink_roundtrip_and_manifests(ray_session, tmp_path):
     from weakscraper_ray.transcripts import ensure_generated
 
     ds = run_flagship(
-        ensure_generated("tiny"), concurrency=2, batch_size=64,
-        restore_ordering=False,
+        ensure_generated("tiny"), batch_size=64, restore_ordering=False,
     )
     out = str(tmp_path / "orc_sink")
     mf = write_partitioned(ds, out, n_shards=4, fmt="orc")

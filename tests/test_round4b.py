@@ -99,12 +99,12 @@ def test_mulmod61_property(pairs):
 
 
 def test_extract_pipeline_survives_worker_kill(ray_session, tmp_path):
-    """Chaos probe: one extract-stage worker process dies mid-run
-    (os._exit — the OOM-kill / node-loss shape). With the flagship's
-    max_restarts/max_task_retries settings the pipeline must complete
-    with the full row count and correct per-turn results; with Ray
-    defaults this HANGS (measured), which is why the settings are
-    load-bearing at 10^12-turn scale."""
+    """Chaos probe: an upstream actor worker process dies mid-run
+    (os._exit — the OOM-kill / node-loss shape) while feeding the
+    extract tasks. With the killer's max_restarts/max_task_retries
+    settings the pipeline must complete with the full row count and
+    correct per-turn results; with Ray's actor defaults this HANGS
+    (measured)."""
     import os
 
     import pyarrow as pa
@@ -125,17 +125,16 @@ def test_extract_pipeline_survives_worker_kill(ray_session, tmp_path):
             return batch
 
     src = ensure_generated("tiny")
-    # pool sizes chosen to fit the 4-CPU test session: two actor pools
-    # plus read tasks must not over-subscribe it (small-session pool
-    # deadlock is a separate known Ray 2.49 failure mode)
+    # one killer actor holds one CPU of the 4-CPU test session; the
+    # read and extract tasks share the rest
     ds = read_transcripts(src).map_batches(
         _Killer, batch_size=32, concurrency=1, batch_format="pyarrow",
         max_restarts=-1, max_task_retries=-1,
     )
-    out = extraction_pipeline(ds, restore_ordering=False, concurrency=2)
+    out = extraction_pipeline(ds, restore_ordering=False)
     df = out.to_pandas()
     ref = extraction_pipeline(
-        read_transcripts(src), restore_ordering=False, concurrency=2
+        read_transcripts(src), restore_ordering=False
     ).to_pandas()
     assert len(df) == len(ref)
     key = ["conv_id", "turn_idx"]
@@ -175,11 +174,9 @@ def test_full_pipeline_with_shuffle_survives_worker_kill(
             return batch
 
     src = ensure_generated("tiny")
-    # autoscale pools (min 1) so extract + killer + shuffle aggregators
-    # coexist in the 4-CPU test session (fixed-size pools reserve CPUs)
-    base = extraction_pipeline(
-        read_transcripts(src), restore_ordering=False, concurrency=(1, 2)
-    )
+    # the killer actor, the extract tasks and the shuffle aggregators
+    # coexist in the 4-CPU test session: only the killer reserves a CPU
+    base = extraction_pipeline(read_transcripts(src), restore_ordering=False)
     wounded = base.map_batches(
         _Killer, batch_size=32, concurrency=1, batch_format="pyarrow",
         max_restarts=-1, max_task_retries=-1,
@@ -187,10 +184,7 @@ def test_full_pipeline_with_shuffle_survives_worker_kill(
     df = restore_order(wounded).to_pandas()
     ref = (
         restore_order(
-            extraction_pipeline(
-                read_transcripts(src), restore_ordering=False,
-                concurrency=(1, 2),
-            )
+            extraction_pipeline(read_transcripts(src), restore_ordering=False)
         ).to_pandas()
     )
     assert len(df) == len(ref)
@@ -210,3 +204,51 @@ def test_full_pipeline_with_shuffle_survives_worker_kill(
     )
     assert pos.all()
     assert os.path.exists(flag)
+
+
+def test_extract_stage_survives_own_worker_kill(ray_session, tmp_path):
+    """Chaos probe on the Extractor's OWN worker: a wp-function kills
+    the extract task's process once (os._exit) mid-match. Ray Data's
+    task retries must rerun the lost batch so the run ends with the
+    same rows and the same ``fields`` as an unkilled run."""
+    import os
+
+    from weakscraper_ray.pipelines.extraction import (
+        extraction_pipeline,
+        read_transcripts,
+    )
+    from weakscraper_ray.transcripts import ensure_generated
+
+    flag = str(tmp_path / "killed_once")
+
+    def die_once(v):
+        if not os.path.exists(flag):
+            open(flag, "w").close()
+            os._exit(1)  # simulate worker loss, exactly once
+        return v
+
+    templates = {
+        0: "<html><body><wp-ignore/><article>"
+           "<h1 wp-name='title' wp-function='die_once'></h1><wp-ignore/>"
+           "</article><wp-ignore/></body></html>",
+    }
+    src = ensure_generated("tiny")
+
+    def run():
+        return (
+            extraction_pipeline(
+                read_transcripts(src), templates=templates,
+                functions={"die_once": die_once}, restore_ordering=False,
+            )
+            .to_pandas()
+            .sort_values(["conv_id", "turn_idx"])
+            .reset_index(drop=True)
+        )
+
+    wounded = run()
+    assert os.path.exists(flag)  # the kill actually happened
+    ref = run()  # flag present: the same function no longer kills
+    assert len(wounded) == len(ref) == 119
+    assert (wounded["status"] == "ok").sum() > 0
+    assert wounded["fields"].tolist() == ref["fields"].tolist()
+    assert wounded["status"].tolist() == ref["status"].tolist()

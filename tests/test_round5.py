@@ -301,9 +301,7 @@ def test_write_partitioned_survives_kill_in_commit_window(
     from weakscraper_ray.transcripts import ensure_generated
 
     tiny = ensure_generated("tiny")
-    extracted = run_flagship(
-        tiny, concurrency=2, batch_size=64, restore_ordering=False
-    )
+    extracted = run_flagship(tiny, batch_size=64, restore_ordering=False)
     flag = str(tmp_path / "killed_once")
 
     def _hook(shard, phase):
@@ -356,3 +354,22 @@ def test_write_partitioned_survives_kill_in_commit_window(
     assert len(m2) == 0
     for p, t in mtimes.items():
         assert os.path.getmtime(f"{out}/part={p}/data.parquet") == t
+
+
+def test_daily_churn_rejects_day_range_beyond_mask(tmp_path):
+    """daily_churn folds each user's active days into one int64 mask,
+    so a 62-day range is refused with a ValueError before any Ray work
+    (a bare assert would vanish under ``python -O``)."""
+    import pyarrow.parquet as pq
+
+    from weakscraper_ray.pipelines.tpch_ops import q_daily_churn
+
+    ts = pa.array(
+        np.array(["2024-01-01", "2024-03-03"], dtype="datetime64[us]")
+    )
+    pq.write_table(
+        pa.table({"user_id": pa.array([1, 2], pa.int64()), "ts": ts}),
+        tmp_path / "events.parquet",
+    )
+    with pytest.raises(ValueError, match="62"):
+        q_daily_churn(str(tmp_path))

@@ -7,8 +7,9 @@ measured 3.7× faster on the ordering-restore groupby at bench scale
 (11.7s vs 43.3s at 32 CPUs) and it scales with CPUs instead of
 degrading. The aggregator-actor counts MUST be sized to the session:
 the defaults (200 partitions / 64 aggregator actors) deadlock a small
-local session whose CPUs are already reserved by map-stage actor
-pools (observed on the 4-CPU test session).
+local session (observed on the 4-CPU test session). Even the floor of
+3 aggregators hangs the salted shuffle on a 1-CPU session;
+extract-only, which has no aggregators, runs there.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The flagship extraction pipeline (SURVEY.md §3.4).
 
     read_parquet(transcripts)                 [IO tasks, column-pruned]
-      → map_batches(Extractor, actor pool)    [C1..C4, zero-copy Arrow]
+      → map_batches(Extractor(...), tasks)    [C1..C4, zero-copy Arrow]
       → restore_order (salted groupby + sort) [R3/R4 shuffle]
       → write_parquet / downstream            [S3]
 
@@ -17,7 +17,7 @@ import ray.data
 
 from ..context import configure_context
 from ..stages.extract import Extractor
-from ..stages.ordering import restore_order, restore_order_partitioned
+from ..stages.ordering import restore_order
 from ..transcripts import TEMPLATES, ensure_generated
 
 #: mandated input schema (BASELINE.json input_hint) + routing column
@@ -319,27 +319,24 @@ def parquet_dir_to_feather(src_dir: str, out_dir: str) -> int:
     return n
 
 
-def _pool_size() -> int:
-    try:
-        return max(2, int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:  # pragma: no cover - ray not initialised
-        return 8
-
-
 def extraction_pipeline(
     ds,
     templates: dict[int, str] | None = None,
     functions: dict[str, Callable] | None = None,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 1024,
     restore_ordering: bool = True,
-    ordering_mode: str = "shuffle",
     keep_text: bool = False,
     heuristic_fallback: bool = False,
     route_column: str | None = "template_id",
     nested: bool = False,
 ):
     """Transcripts Dataset → extracted Dataset (still lazy).
+
+    The ``Extractor`` is passed as an instance, so Ray Data runs it as
+    stateless tasks: each task unpickles a fresh copy and compiles only
+    the templates its rows route to. Ray Data's task path retries a
+    lost worker (``max_retries=-1``), so worker death is survived
+    without actor restarts.
 
     ``route_column=None`` disables template routing entirely (every row
     tries all templates, first-match-wins) — required when externally
@@ -350,45 +347,14 @@ def extraction_pipeline(
     configure_context()
     if templates is None:
         templates = default_templates()
-    if concurrency is None:
-        # Measured at bench scale (2.15M rows): pool max = ncpu-4 leaves
-        # headroom for read tasks + hash-shuffle aggregators (a pool at
-        # full ncpu serializes the stages); pool min = 3/4·ncpu ramps the
-        # pool immediately (autoscaling from 1 costs ~10s of warm-up).
-        ncpu = _pool_size()
-        if restore_ordering and ordering_mode != "partitioned":
-            high = max(2, ncpu - max(2, ncpu // 8))  # headroom for shuffle
-        else:
-            high = max(2, ncpu - 1)  # no downstream exchange to feed
-        concurrency = (max(1, min(high, ncpu * 3 // 4)), high)
-    out = ds.map_batches(
-        Extractor,
-        fn_constructor_kwargs=dict(
-            templates=templates, functions=functions, keep_text=keep_text,
-            heuristic_fallback=heuristic_fallback, route_column=route_column,
-            nested=nested,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-        # fault tolerance for long runs: with the defaults, an extract
-        # actor dying (OOM kill, node loss) HANGS the pipeline —
-        # measured on this Ray build with an os._exit chaos probe;
-        # unlimited actor restarts + task retries make the same probe
-        # complete with full row counts (tests/test_round4b.py chaos
-        # test). A 10^12-turn run WILL lose workers; this is the
-        # difference between resuming from checkpoint and hanging.
-        max_restarts=-1,
-        max_task_retries=-1,
+    extractor = Extractor(
+        templates=templates, functions=functions, keep_text=keep_text,
+        heuristic_fallback=heuristic_fallback, route_column=route_column,
+        nested=nested,
     )
+    out = ds.map_batches(extractor, batch_format="pyarrow", batch_size=batch_size)
     if restore_ordering:
-        if ordering_mode == "partitioned":
-            # input layout co-locates conversations per block — no
-            # exchange needed (see restore_order_partitioned docstring)
-            out = restore_order_partitioned(out)
-        else:
-            out = restore_order(out)
+        out = restore_order(out)
     return out
 
 

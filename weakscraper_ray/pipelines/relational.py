@@ -3506,7 +3506,7 @@ def q_extract_agreement(sf_dir: str):
     fallback on unroutable pages (if containment is low the fallback
     is LOSING template-extracted content, not just adding noise).
 
-    Shape: the flagship actor-pool extract keeps the raw text column
+    Shape: the flagship extract keeps the raw text column
     (keep_text), a second map-only stage computes the heuristic twin
     per matched turn and reduces each batch to ≤|templates| partial
     rows, one template-bounded Sum exchange closes it — the raw HTML
@@ -3517,19 +3517,8 @@ def q_extract_agreement(sf_dir: str):
     from .extraction import extraction_pipeline, read_transcripts
 
     input_dir = ensure_generated(_size_for(sf_dir))
-    # cap the extract pool BELOW the auto-sizing: this pipeline runs a
-    # downstream hash aggregate (its own actor pool) plus the heuristic
-    # map stage, and the auto minimum (¾ of CPUs as a HARD pool floor)
-    # deadlocks a small session — measured: 4-CPU test session, 3
-    # reserved extract actors + read + aggregator > 4 CPUs, zero
-    # progress. min 1 lets the pool yield; the cap leaves aggregate
-    # headroom on any session size.
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     out = extraction_pipeline(
-        read_transcripts(input_dir),
-        restore_ordering=False,
-        keep_text=True,
-        concurrency=(1, max(2, ncpu // 2)),
+        read_transcripts(input_dir), restore_ordering=False, keep_text=True
     )
 
     def _agree(t: pa.Table) -> pa.Table:

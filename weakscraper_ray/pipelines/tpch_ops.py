@@ -339,15 +339,19 @@ def q_daily_churn(sf_dir: str):
     at the min day → per-batch popcount partials over the bounded day
     domain → one tiny day-keyed roll-up.  No day-cohort self-join
     anywhere.  IMPLEMENTED LIMIT: a single int64 mask, i.e. a day
-    range < 62 days (asserted below); wider ranges would need
-    ⌈days/62⌉ mask columns with the same fold — not built because no
-    testdata or oracle exercises it (ADVICE r4: docstring now states
-    the limit the code enforces rather than promising the multi-mask
-    extension)."""
+    range < 62 days; a wider range raises ValueError.  Wider ranges
+    would need ⌈days/62⌉ mask columns with the same fold — not built
+    because no testdata or oracle exercises it (ADVICE r4: docstring
+    now states the limit the code enforces rather than promising the
+    multi-mask extension)."""
     from ray.data.aggregate import Sum
 
     lo, hi = _day_range(_p(sf_dir, "events"))
-    assert hi - lo < 62, "day range exceeds single-mask fold"
+    if hi - lo >= 62:
+        raise ValueError(
+            f"daily_churn: events span {hi - lo + 1} days; the single"
+            " int64 day-mask fold covers at most 62"
+        )
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 

@@ -1,14 +1,14 @@
-"""The flagship actor-pool extraction stage (SURVEY.md §2.2 C1–C4).
+"""The flagship extraction stage (SURVEY.md §2.2 C1–C4).
 
-``Extractor`` is a callable CLASS for
-``ds.map_batches(Extractor, concurrency=(m, n), batch_format="pyarrow",
-batch_size=B, fn_constructor_kwargs=...)``:
+``Extractor`` is a callable class; the pipeline passes an INSTANCE,
+``ds.map_batches(Extractor(templates, ...), batch_format="pyarrow",
+batch_size=B)``, so Ray Data runs it as stateless tasks:
 
-- ``__init__`` runs ONCE per actor: compiles every template (the
-  reference's ``WeakScraper.__init__`` cost, amortized across all
-  batches an actor ever sees — SURVEY.md ST1/ST3) and binds the user
-  ``functions`` registry (ST2). Template HTML is shipped once per actor
-  via constructor kwargs (broadcast-small-side), never per batch.
+- ``__init__`` runs once on the driver and only records template
+  SOURCE and the user ``functions`` registry (ST2). Each task unpickles
+  its own copy, whose registry compiles a template on first use (the
+  reference's ``WeakScraper.__init__`` cost — 0.1 ms per template, so
+  at most a few tenths of a ms per batch; SURVEY.md ST1/ST3).
 - ``__call__`` runs per Arrow batch (zero-copy in): per-document parse
   + match is inherently a Python loop over the ``text`` column, but
   all column assembly is Arrow-native and the raw ``text`` column is
@@ -61,12 +61,12 @@ def project_batch(columns: list[str]) -> Callable[[pa.Table], pa.Table]:
 
 
 class Extractor:
-    """Per-actor stateful template matcher.
+    """Template matcher over Arrow batches.
 
     Parameters
     ----------
     templates:
-        ``{template_id: template_html}``. Compiled once per actor.
+        ``{template_id: template_html}``. Compiled lazily, on first use.
     functions:
         user post-processor registry (``wp-function`` hook, D5/D6).
     route_column:
@@ -89,8 +89,8 @@ class Extractor:
     ):
         from ..state import TemplateRegistry
 
-        # lazy compile-on-first-use per worker (SURVEY.md ST3): an
-        # actor only pays for the templates its rows actually route to
+        # lazy compile-on-first-use (SURVEY.md ST3): a task only pays
+        # for the templates its rows actually route to
         self.registry = TemplateRegistry(
             {tid: src for tid, src in sorted(templates.items())}, functions,
             nested=nested,

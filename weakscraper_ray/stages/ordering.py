@@ -78,23 +78,6 @@ def _sort_group(group: pa.Table) -> pa.Table:
     return group.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
 
 
-def restore_order_partitioned(ds):
-    """Partition-aware fast path: when the INPUT LAYOUT already
-    co-locates each conversation inside one file/block (the designed
-    100 TB layout writes transcripts bucketed by conv-hash — and the
-    resumable sink here does the same), stable ordering needs NO
-    exchange: one vectorized sort per block.
-
-    Partitioning assumption (documented per SURVEY.md "custom
-    operators"): every conv_id's rows live in a single input block.
-    Callers must pass ``override_num_blocks=<n_files>`` (or trust the
-    default 128 MiB block sizing not to split files) so blocks align
-    with files. Use :func:`restore_order` when the assumption doesn't
-    hold — same output contract, plus a shuffle.
-    """
-    return ds.map_batches(_sort_group, batch_format="pyarrow", batch_size=None)
-
-
 def restore_order(
     ds,
     n_shards: int | None = None,

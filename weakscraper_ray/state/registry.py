@@ -1,11 +1,12 @@
 """Multi-template registry with lazy compile-on-first-use (SURVEY.md
-ST3): the per-worker cache ``template_id → compiled Template``.
+ST3): the per-process cache ``template_id → compiled Template``.
 
 The reference holds ONE compiled template per ``WeakScraper`` instance
-(SURVEY.md §3.1, reconstructed); at scale an actor serves many sources,
-so the registry ships template SOURCE once (constructor kwargs /
-``ray.put``) and compiles lazily per worker, caching compiled trees for
-the actor's lifetime.
+(SURVEY.md §3.1, reconstructed); at scale one extraction stage serves
+many sources, so the registry ships template SOURCE (pickled with the
+``Extractor`` each task runs) and compiles a template only when a row
+first routes to it, caching the compiled tree for the registry's
+lifetime.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def load_template_dir(path: str) -> dict[str, str]:
 
 
 class TemplateRegistry:
-    """Lazy-compiling template cache, one per actor/worker."""
+    """Lazy-compiling template cache, one per ``Extractor`` copy."""
 
     def __init__(
         self,
@@ -48,7 +49,7 @@ class TemplateRegistry:
         return self._sources.keys()
 
     def get(self, key) -> Template:
-        """Compile on first use; cached for the worker's lifetime."""
+        """Compile on first use; cached for the registry's lifetime."""
         tmpl = self._compiled.get(key)
         if tmpl is None:
             tmpl = Template(self._sources[key], self._functions,
