@@ -44,7 +44,7 @@ DUMP_STATS = os.environ.get("GRAFT_DUMP_STATS", "") == "1"
 def _headline(num_cpus: int) -> tuple[float, float, int]:
     """Flagship extraction pipeline over the bench transcripts table:
     read → extract tasks → ordering restore → count. Times TWO paths:
-    the mandated salted-hash shuffle (headline) and extract-only (no
+    the mandated salted sort-based shuffle (headline) and extract-only (no
     ordering restore at all). The extract-only run is the CONTROL for
     the scaling criterion: it has no exchange, so its 8→32 efficiency
     is the pure hardware ceiling of the CPU-bound parse+match on this

@@ -55,18 +55,82 @@ def test_per_turn_equality_vs_oracle(extracted_df, tiny_dir):
     assert (got.loc[err, "error_kind"] == exp.loc[err, "error_kind"]).all()
 
 
-def test_groups_internally_sorted(tiny_dir):
-    """restore_order yields internally-sorted contiguous runs per
-    (conv_id, salt) group even though input files are shuffled."""
-    from weakscraper_ray.pipelines import read_transcripts, extraction_pipeline
+def _ordering_problems(out, turns_per_group: int) -> list[str]:
+    """The ordering contract, checked in arrival order over the whole
+    output: the rows of each (conversation, salt bucket) form ONE
+    contiguous, turn-ascending run. A conversation may span several
+    runs only because it spans several salt buckets."""
+    conv = out.column("conv_id").to_pylist()
+    turn = out.column("turn_idx").to_pylist()
+    rows: dict[tuple, list[int]] = {}
+    for i, (c, t) in enumerate(zip(conv, turn)):
+        rows.setdefault((c, t // turns_per_group), []).append(i)
+    problems = []
+    for (c, bucket), idx in rows.items():
+        turns = [turn[i] for i in idx]
+        if idx[-1] - idx[0] + 1 != len(idx):
+            problems.append(f"{c} bucket {bucket}: split into non-adjacent runs")
+        elif any(a >= b for a, b in zip(turns, turns[1:])):
+            problems.append(f"{c} bucket {bucket}: turns {turns} not ascending")
+    return problems
 
-    ds = extraction_pipeline(read_transcripts(tiny_dir), batch_size=64)
-    for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-        df = batch.to_pandas()
-        for conv, g in df.groupby("conv_id", sort=False):
-            # within each group's contiguous run, turn_idx ascends
-            deltas = g["turn_idx"].diff().dropna()
-            assert (deltas >= 1).all() or len(g) == 1
+
+def _arrival_order(ds):
+    import pyarrow as pa
+
+    return pa.concat_tables(
+        list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+    )
+
+
+def test_groups_internally_sorted(tiny_dir):
+    """restore_order with a 4-turn salt: salting splits most
+    conversations across buckets, and each bucket still arrives as one
+    contiguous turn-ascending run, although the input files interleave
+    conversations."""
+    from weakscraper_ray.pipelines import read_transcripts, extraction_pipeline
+    from weakscraper_ray.stages.ordering import restore_order
+
+    extracted = extraction_pipeline(
+        read_transcripts(tiny_dir), batch_size=64, restore_ordering=False
+    )
+    out = _arrival_order(restore_order(extracted, turns_per_group=4))
+    assert out.num_rows == 119
+    conv = out.column("conv_id").to_pylist()
+    buckets = {(c, t // 4) for c, t in zip(conv, out.column("turn_idx").to_pylist())}
+    assert len(buckets) > len(set(conv))  # salting split conversations
+    assert _ordering_problems(out, 4) == []
+
+
+def test_ordering_with_conversation_split_across_files(tiny_dir, tmp_path):
+    """One conversation's turns live in two ``part-*.parquet`` files:
+    the flagship's exchange still brings them back as one ordered run,
+    and every turn matches the oracle."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from weakscraper_ray.pipelines import run_flagship
+
+    p0 = pq.read_table(f"{tiny_dir}/part-0000.parquet")
+    p1 = pq.read_table(f"{tiny_dir}/part-0001.parquet")
+    conv = p1.column("conv_id")[0].as_py()
+    moved = pc.and_(pc.equal(p1.column("conv_id"), conv),
+                    pc.equal(pc.bit_wise_and(p1.column("turn_idx"), 1), 0))
+    parts = [pa.concat_tables([p0, p1.filter(moved)]), p1.filter(pc.invert(moved))]
+    assert all(conv in part.column("conv_id").to_pylist() for part in parts)
+    for i, part in enumerate(parts):
+        pq.write_table(part, tmp_path / f"part-{i:04d}.parquet")
+
+    out = _arrival_order(run_flagship(str(tmp_path), batch_size=64))
+    assert _ordering_problems(out, 4096) == []
+    got = out.to_pandas().set_index(["conv_id", "turn_idx"]).sort_index()
+    exp = (
+        pq.read_table(f"{tiny_dir}/expected.parquet").to_pandas()
+        .set_index(["conv_id", "turn_idx"]).sort_index()
+    )
+    assert len(got) == len(exp) == 119
+    assert (got["extracted_text"] == exp["extracted_text"]).all()
+    assert (got["fields"] == exp["fields"]).all()
 
 
 def test_metrics_populated(extracted_df):
@@ -159,18 +223,24 @@ ray.init(address="local", num_cpus=1, object_store_memory=200 * 2**20,
 DataContext.get_current().enable_progress_bars = False
 from weakscraper_ray.pipelines import extraction_pipeline, read_transcripts
 
-ds = extraction_pipeline(read_transcripts({src!r}), restore_ordering=False)
+ds = extraction_pipeline(read_transcripts({src!r}),
+                         restore_ordering={restore_ordering!r})
 print(sum(b.num_rows for b in ds.iter_batches(batch_format="pyarrow")))
 ray.shutdown()
 """
 
 
-def test_extract_only_completes_on_one_cpu(tmp_path):
-    """Extract-only must finish on a 1-CPU Ray session: the stage
-    reserves no CPUs ahead of its tasks, so it cannot out-demand a small
-    session. Runs in its own process because the tests share one
-    4-CPU session; the process group is killed on timeout so a hang
-    leaves no Ray cluster behind."""
+@pytest.mark.parametrize(
+    "restore_ordering", [False, True], ids=["extract_only", "salted"]
+)
+def test_flagship_completes_on_one_cpu(tmp_path, restore_ordering):
+    """The flagship must finish on a 1-CPU Ray session, with and
+    without the salted ordering exchange: the extract stage reserves
+    no CPUs ahead of its tasks, and the sort-based shuffle needs no
+    aggregator actors, so neither can out-demand a small session. Runs
+    in its own process because the tests share one 4-CPU session; the
+    process group is killed on timeout so a hang leaves no Ray cluster
+    behind."""
     import os
     import signal
     import subprocess
@@ -180,8 +250,9 @@ def test_extract_only_completes_on_one_cpu(tmp_path):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    script = _ONE_CPU_SCRIPT.format(src=src, restore_ordering=restore_ordering)
     proc = subprocess.Popen(
-        [sys.executable, "-c", _ONE_CPU_SCRIPT.format(src=src)],
+        [sys.executable, "-c", script],
         cwd=str(tmp_path), env=env, start_new_session=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
@@ -190,7 +261,10 @@ def test_extract_only_completes_on_one_cpu(tmp_path):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("extract-only did not finish within 60 s on 1 CPU")
+        pytest.fail(
+            f"restore_ordering={restore_ordering} did not finish within "
+            "60 s on 1 CPU"
+        )
     finally:
         try:
             os.killpg(proc.pid, signal.SIGKILL)  # stray Ray daemons

@@ -150,8 +150,8 @@ def test_full_pipeline_with_shuffle_survives_worker_kill(
     ray_session, tmp_path
 ):
     """Chaos probe #2: the kill lands between extract and the salted
-    ordering SHUFFLE — the exchange (hash-shuffle aggregator actors +
-    upstream task retry) must also complete with correct, fully
+    ordering SHUFFLE — the exchange (sort-based shuffle map/reduce
+    tasks + upstream task retry) must also complete with correct, fully
     ordered results."""
     import os
 
@@ -174,8 +174,8 @@ def test_full_pipeline_with_shuffle_survives_worker_kill(
             return batch
 
     src = ensure_generated("tiny")
-    # the killer actor, the extract tasks and the shuffle aggregators
-    # coexist in the 4-CPU test session: only the killer reserves a CPU
+    # the killer actor, the extract tasks and the shuffle tasks coexist
+    # in the 4-CPU test session: only the killer reserves a CPU
     base = extraction_pipeline(read_transcripts(src), restore_ordering=False)
     wounded = base.map_batches(
         _Killer, batch_size=32, concurrency=1, batch_format="pyarrow",

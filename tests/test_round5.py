@@ -150,6 +150,20 @@ def test_minipdf_decoder_fails_fast():
         list(_decode_pdf_mini(compressed, 1))
 
 
+def test_minipdf_decoder_checks_run_at_call():
+    """The payload checks fire when the decoder is called, before any
+    block is pulled: a caller that stores the result without iterating
+    it still sees the error at the call site."""
+    from weakscraper_ray.functions.layout import _decode_pdf_mini
+
+    with pytest.raises(ValueError, match="%PDF"):
+        _decode_pdf_mini(b"not a pdf", 1)
+    with pytest.raises(ValueError, match="uncompressed"):
+        _decode_pdf_mini(b"%PDF-1.4\n<< /Filter /FlateDecode >>\n", 1)
+    with pytest.raises(ValueError, match="no content streams"):
+        _decode_pdf_mini(b"%PDF-1.4\n%%EOF\n", 1)
+
+
 def test_pdf_layout_parser_minipdf_end_to_end():
     """The real-extraction branch through the ACTUAL stage class —
     what the (still skipped-by-absence) pypdf smoke covered, now
@@ -279,6 +293,32 @@ def test_index_epoch_detects_buildtime_loss(ray_session):
     # precision: an unrelated actor error is NOT shard loss
     assert not is_shard_loss(RayActorError())
     assert not is_shard_loss(RuntimeError("some pipeline bug"))
+
+
+def test_is_shard_loss_text_match_only_on_ray_wrappers(ray_session):
+    """The ``IndexShardLost`` text fallback applies only to Ray's
+    wrapper exceptions: a plain error that merely mentions the name is
+    not shard loss, while a shard loss that Ray Data re-raises as
+    ``RayTaskError(UserCodeException)`` (cause chain cut at the
+    wrapper) still is."""
+    import ray.data
+    from ray.exceptions import RayTaskError
+
+    from weakscraper_ray.state.hash_index import IndexShardLost, is_shard_loss
+
+    assert not is_shard_loss(ValueError("row 7: IndexShardLost in text"))
+    try:
+        raise RuntimeError("wrapped") from ValueError("IndexShardLost")
+    except RuntimeError as e:
+        assert not is_shard_loss(e)
+
+    def _lose(batch):
+        raise IndexShardLost("shard 3 restarted")
+
+    with pytest.raises(RayTaskError) as ei:
+        ray.data.range(4).map_batches(_lose).materialize()
+    assert not isinstance(ei.value, IndexShardLost)  # only the text remains
+    assert is_shard_loss(ei.value)
 
 
 def test_write_partitioned_survives_kill_in_commit_window(

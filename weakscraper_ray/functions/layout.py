@@ -145,6 +145,16 @@ def _decode_pdf_mini(payload: bytes, n_pages: int):
     )
     if not streams:
         raise ValueError("PDF has no content streams")
+    return _pdf_mini_blocks(streams, box)
+
+
+def _pdf_mini_blocks(streams: list[bytes], box: tuple):
+    """Yield one paragraph block per text-bearing content stream —
+    the lazy half of :func:`_decode_pdf_mini`, split off so that its
+    payload checks run when the decoder is CALLED, not on the first
+    iteration."""
+    import re
+
     # page index = content-stream ordinal: a stream with no text
     # (image-only page) still consumes its index, so later pages keep
     # their true positions (code-review r5: skipping text-less streams

@@ -493,12 +493,10 @@ def q_pack_conversations(sf_dir: str):
     import glob
     import os
 
-    from ..context import configure_context
     from ..stages.ordering import _conv_hash
     from ..transcripts import ensure_generated
     from .relational import _size_for
 
-    configure_context()
     shards_dir = ensure_generated(_size_for(sf_dir))
     paths = sorted(glob.glob(os.path.join(shards_dir, "part-*.parquet")))
     ds = ray.data.read_parquet(paths, columns=["conv_id", "turn_idx", "role"])
@@ -547,12 +545,10 @@ def _conv_role_stats(sf_dir: str):
     import glob
     import os
 
-    from ..context import configure_context
     from ..stages.ordering import _conv_hash
     from ..transcripts import ensure_generated
     from .relational import _size_for
 
-    configure_context()
     shards_dir = ensure_generated(_size_for(sf_dir))
     paths = sorted(glob.glob(os.path.join(shards_dir, "part-*.parquet")))
     ds = ray.data.read_parquet(paths, columns=["conv_id", "turn_idx", "role"])
@@ -1220,12 +1216,10 @@ def q_turn_alternation(sf_dir: str):
     import glob
     import os
 
-    from ..context import configure_context
     from ..stages.ordering import _conv_hash
     from ..transcripts import ensure_generated
     from .relational import _size_for
 
-    configure_context()
     shards_dir = ensure_generated(_size_for(sf_dir))
     paths = sorted(glob.glob(os.path.join(shards_dir, "part-*.parquet")))
     ds = ray.data.read_parquet(paths, columns=["conv_id", "turn_idx", "role"])
@@ -1284,12 +1278,10 @@ def q_context_windows(sf_dir: str):
     import glob
     import os
 
-    from ..context import configure_context
     from ..stages.ordering import _conv_hash
     from ..transcripts import ensure_generated
     from .relational import _size_for
 
-    configure_context()
     shards_dir = ensure_generated(_size_for(sf_dir))
     paths = sorted(glob.glob(os.path.join(shards_dir, "part-*.parquet")))
     ds = ray.data.read_parquet(paths, columns=["conv_id", "turn_idx", "text"])

@@ -991,9 +991,6 @@ def q_csv_source(sf_dir: str):
     actually being checked, not just row counts."""
     import ray.data
 
-    from ..context import configure_context
-
-    configure_context()
     ds = ray.data.read_csv(_csv_twin(sf_dir))
     from ray.data.aggregate import Sum
 
@@ -1072,9 +1069,6 @@ def q_binary_source(sf_dir: str):
 
     import ray.data
 
-    from ..context import configure_context
-
-    configure_context()
     d = _bin_twin(sf_dir)
     ds = ray.data.read_binary_files(d, file_extensions=["bin"])
 

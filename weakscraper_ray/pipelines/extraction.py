@@ -15,7 +15,6 @@ from typing import Callable
 import ray
 import ray.data
 
-from ..context import configure_context
 from ..stages.extract import Extractor
 from ..stages.ordering import restore_order
 from ..transcripts import TEMPLATES, ensure_generated
@@ -38,12 +37,7 @@ def read_transcripts(path: str, with_route: bool = True,
     ``include_paths=True`` adds each row's source-file ``path`` column
     (Ray read_parquet's include_paths) so the checkpointed sink can
     record per-partition input lineage in its manifest.
-
-    configure_context() must run BEFORE read_parquet: a Dataset
-    snapshots its DataContext at creation, so execution settings set
-    later are ignored by this dataset's plan.
     """
-    configure_context()
     import glob
     import os
 
@@ -70,7 +64,6 @@ def read_transcripts_json(path: str, with_route: bool = True):
     The normalizer casts to the canonical arrow schema so every
     downstream stage is format-agnostic.
     """
-    configure_context()
     import glob
     import os
 
@@ -129,7 +122,6 @@ def read_transcripts_csv(path: str, with_route: bool = True):
     schema, so the extraction pipeline is format-agnostic). Arrow's
     CSV reader handles quoted multi-line HTML text; ``ts`` arrives as
     an ISO string and is cast like the JSONL path."""
-    configure_context()
     import glob
     import os
 
@@ -214,7 +206,6 @@ def read_transcripts_feather(path: str, with_route: bool = True):
     (unlike JSONL/CSV there is no parse, so ``ts`` needs no cast).
     One file = one block = one decode task; resumability and
     parallelism come from the shard layout exactly as for parquet."""
-    configure_context()
     import glob
     import os
 
@@ -249,7 +240,6 @@ def read_transcripts_orc(path: str, with_route: bool = True):
     grain, so ``ts`` is cast back to the canonical ``timestamp[us]``
     — after that the table is bit-identical to the parquet source
     (source-equivalence test)."""
-    configure_context()
     import glob
     import os
 
@@ -344,7 +334,6 @@ def extraction_pipeline(
     ``nested=True`` switches the ``fields`` JSON to the reconstructed
     reference result shape (captures nested by wp-name hierarchy).
     """
-    configure_context()
     if templates is None:
         templates = default_templates()
     extractor = Extractor(

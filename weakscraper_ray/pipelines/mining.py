@@ -574,9 +574,6 @@ def q_pushdown_scan(sf_dir: str):
     import pyarrow.dataset as pds
     from ray.data.aggregate import Sum
 
-    from ..context import configure_context
-
-    configure_context()
     lo = _dt.datetime.fromisoformat(_PUSH_LO)
     hi = _dt.datetime.fromisoformat(_PUSH_HI)
     flt = (pds.field("l_shipdate") >= pa.scalar(lo, pa.timestamp("us"))) & (

@@ -50,9 +50,6 @@ def _p(sf_dir: str, table: str) -> str:
 
 
 def _read(sf_dir: str, table: str, columns: list[str]):
-    from ..context import configure_context
-
-    configure_context()
     return ray.data.read_parquet(_p(sf_dir, table), columns=columns)
 
 
@@ -814,7 +811,7 @@ _PAIR_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
 
 #: bounded exchange cardinality for the shuffle verify — both phases
 #: key on a shard of a hash, never on raw doc/pair ids, so the number
-#: of hash-shuffle groups (and therefore UDF dispatches) is a constant
+#: of shuffle groups (and therefore UDF dispatches) is a constant
 #: independent of candidate-pair count (VERDICT r4 #1: the old
 #: per-doc/per-pair ``map_groups`` paid one Ray/Arrow dispatch per
 #: doc and per pair, i.e. millions exactly when this path activates).
@@ -848,7 +845,7 @@ def _minhash_verify_shuffle(uniq, docs_ds):
     shard, never one dispatch per doc or per pair (the
     ``bucket_pairs_shard`` / ``edit1_join`` re-keying shape; VERDICT
     r4 #1). Nothing is materialized on the driver or broadcast.
-    Expressed with the engine's own hash-shuffle groupby rather than
+    Expressed with the engine's own keyed groupby rather than
     ``Dataset.join`` because Ray 2.49 joins spawn per-join aggregator
     actor pools that deadlock small sessions, and this path would
     need two of them."""

@@ -2099,9 +2099,6 @@ def q_schema_evolve_scan(sf_dir: str):
     datasets; DuckDB mirrors via ``union_by_name``."""
     import ray.data
 
-    from ..context import configure_context
-
-    configure_context()
     f1, f2 = _evolve_files(sf_dir)
     ds = ray.data.read_parquet([f1, f2])
 

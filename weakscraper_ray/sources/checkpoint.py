@@ -245,18 +245,6 @@ def write_partitioned(ds, out_dir: str, n_shards: int = 16, resume: bool = True,
         ds = prune_committed(ds, out_dir, n_shards, has_shard=has_shard)
     elif not has_shard:
         ds = ds.map_batches(add_shard_column(n_shards), batch_format="pyarrow")
-    # Pin the sort-based shuffle for this groupby: the resume filter can
-    # empty the stream entirely, and Ray 2.49's hash-shuffle aggregator
-    # crashes sorting schema-less empty blocks. Each Dataset SNAPSHOTS
-    # its DataContext at creation, so the override must go on the
-    # dataset's own context (the global one is ignored at exec time).
-    # The hot-path ordering groupby keeps HASH_SHUFFLE (context.py).
-    try:
-        from ray.data.context import ShuffleStrategy
-
-        ds.context.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
-    except ImportError:  # pragma: no cover
-        pass
     # the hook rides the closure (serialized with it), so fault
     # injection reaches the WORKER executing the write — a driver-side
     # monkeypatch would not (workers import the module fresh)

@@ -209,13 +209,19 @@ def is_shard_loss(err: BaseException) -> bool:
     on RayActorError-family names masked unrelated failures behind
     index rebuilds). Ray Data re-raises worker exceptions as
     dynamically-typed ``RayTaskError(UserCodeException)`` whose cause
-    chain can stop at the wrapper, so the rendered message is checked
-    too — it always names the original exception class."""
+    chain can stop at the wrapper, so a Ray wrapper's rendered message
+    is checked too — it always names the original exception class. The
+    text match applies ONLY to Ray's wrapper types: any other exception
+    that merely mentions ``IndexShardLost`` is not shard loss."""
+    from ray.exceptions import RayActorError, RayTaskError
+
     e: BaseException | None = err
     for _ in range(8):
         if e is None:
             break
         if isinstance(e, IndexShardLost):
             return True
+        if isinstance(e, (RayTaskError, RayActorError)) and "IndexShardLost" in str(e):
+            return True
         e = getattr(e, "cause", None) or e.__cause__ or e.__context__
-    return "IndexShardLost" in str(err)
+    return False
