@@ -2,7 +2,7 @@
 
 The generated transcripts table carries an expected.parquet oracle
 computed from known template fills; the full Ray pipeline (read →
-extract tasks → salted groupby ordering restore) must reproduce
+extract tasks → total (conv_id, turn_idx) sort) must reproduce
 it per turn — text equality under stable (conv_id, turn_idx) ordering.
 """
 
@@ -55,24 +55,15 @@ def test_per_turn_equality_vs_oracle(extracted_df, tiny_dir):
     assert (got.loc[err, "error_kind"] == exp.loc[err, "error_kind"]).all()
 
 
-def _ordering_problems(out, turns_per_group: int) -> list[str]:
+def _order_problems(out) -> list[str]:
     """The ordering contract, checked in arrival order over the whole
-    output: the rows of each (conversation, salt bucket) form ONE
-    contiguous, turn-ascending run. A conversation may span several
-    runs only because it spans several salt buckets."""
-    conv = out.column("conv_id").to_pylist()
-    turn = out.column("turn_idx").to_pylist()
-    rows: dict[tuple, list[int]] = {}
-    for i, (c, t) in enumerate(zip(conv, turn)):
-        rows.setdefault((c, t // turns_per_group), []).append(i)
-    problems = []
-    for (c, bucket), idx in rows.items():
-        turns = [turn[i] for i in idx]
-        if idx[-1] - idx[0] + 1 != len(idx):
-            problems.append(f"{c} bucket {bucket}: split into non-adjacent runs")
-        elif any(a >= b for a, b in zip(turns, turns[1:])):
-            problems.append(f"{c} bucket {bucket}: turns {turns} not ascending")
-    return problems
+    output: (conv_id, turn_idx) keys are strictly ascending, so every
+    conversation is one contiguous, turn-ascending run and the output
+    is totally ordered."""
+    keys = list(zip(out.column("conv_id").to_pylist(),
+                    out.column("turn_idx").to_pylist()))
+    bad = [i for i in range(1, len(keys)) if keys[i - 1] >= keys[i]]
+    return [f"row {i}: {keys[i]} follows {keys[i - 1]}" for i in bad[:3]]
 
 
 def _arrival_order(ds):
@@ -83,33 +74,25 @@ def _arrival_order(ds):
     )
 
 
-def test_groups_internally_sorted(tiny_dir):
-    """restore_order with a 4-turn salt: salting splits most
-    conversations across buckets, and each bucket still arrives as one
-    contiguous turn-ascending run, although the input files interleave
-    conversations."""
-    from weakscraper_ray.pipelines import read_transcripts, extraction_pipeline
-    from weakscraper_ray.stages.ordering import restore_order
+def _blocks(ds):
+    import ray
 
-    extracted = extraction_pipeline(
-        read_transcripts(tiny_dir), batch_size=64, restore_ordering=False
-    )
-    out = _arrival_order(restore_order(extracted, turns_per_group=4))
-    assert out.num_rows == 119
-    conv = out.column("conv_id").to_pylist()
-    buckets = {(c, t // 4) for c, t in zip(conv, out.column("turn_idx").to_pylist())}
-    assert len(buckets) > len(set(conv))  # salting split conversations
-    assert _ordering_problems(out, 4) == []
+    return ray.get(ds.to_arrow_refs())
 
 
-def test_ordering_with_conversation_split_across_files(tiny_dir, tmp_path):
-    """One conversation's turns live in two ``part-*.parquet`` files:
-    the flagship's exchange still brings them back as one ordered run,
-    and every turn matches the oracle."""
+def _assert_matches_oracle(out, expected):
+    got = out.to_pandas().set_index(["conv_id", "turn_idx"]).sort_index()
+    exp = expected.to_pandas().set_index(["conv_id", "turn_idx"]).sort_index()
+    assert len(got) == len(exp)
+    assert (got["extracted_text"] == exp["extracted_text"]).all()
+    assert (got["fields"] == exp["fields"]).all()
+
+
+def _split_conversation_table(tiny_dir, out_dir) -> None:
+    """A copy of ``tiny`` where one conversation's even turns are moved
+    into the other ``part-*.parquet`` file."""
     import pyarrow as pa
     import pyarrow.compute as pc
-
-    from weakscraper_ray.pipelines import run_flagship
 
     p0 = pq.read_table(f"{tiny_dir}/part-0000.parquet")
     p1 = pq.read_table(f"{tiny_dir}/part-0001.parquet")
@@ -119,18 +102,90 @@ def test_ordering_with_conversation_split_across_files(tiny_dir, tmp_path):
     parts = [pa.concat_tables([p0, p1.filter(moved)]), p1.filter(pc.invert(moved))]
     assert all(conv in part.column("conv_id").to_pylist() for part in parts)
     for i, part in enumerate(parts):
-        pq.write_table(part, tmp_path / f"part-{i:04d}.parquet")
+        pq.write_table(part, out_dir / f"part-{i:04d}.parquet")
 
-    out = _arrival_order(run_flagship(str(tmp_path), batch_size=64))
-    assert _ordering_problems(out, 4096) == []
-    got = out.to_pandas().set_index(["conv_id", "turn_idx"]).sort_index()
-    exp = (
-        pq.read_table(f"{tiny_dir}/expected.parquet").to_pandas()
-        .set_index(["conv_id", "turn_idx"]).sort_index()
+
+def test_groups_internally_sorted(tiny_dir):
+    """restore_order's output arrives totally sorted by
+    (conv_id, turn_idx), although the input files interleave
+    conversations and shuffle their turns."""
+    from weakscraper_ray.pipelines import read_transcripts, extraction_pipeline
+    from weakscraper_ray.stages.ordering import restore_order
+
+    extracted = extraction_pipeline(
+        read_transcripts(tiny_dir), batch_size=64, restore_ordering=False
     )
-    assert len(got) == len(exp) == 119
-    assert (got["extracted_text"] == exp["extracted_text"]).all()
-    assert (got["fields"] == exp["fields"]).all()
+    out = _arrival_order(restore_order(extracted))
+    assert out.num_rows == 119
+    assert _order_problems(out) == []
+
+
+def test_ordering_with_conversation_split_across_files(tiny_dir, tmp_path):
+    """One conversation's turns live in two ``part-*.parquet`` files:
+    the flagship's sort still brings them back as one ordered run in a
+    totally ordered output, and every turn matches the oracle."""
+    from weakscraper_ray.pipelines import run_flagship
+
+    _split_conversation_table(tiny_dir, tmp_path)
+    out = _arrival_order(run_flagship(str(tmp_path), batch_size=64))
+    assert out.num_rows == 119
+    assert _order_problems(out) == []
+    _assert_matches_oracle(out, pq.read_table(f"{tiny_dir}/expected.parquet"))
+
+
+def test_hot_conversation_splits_across_blocks(tiny_dir, tmp_path):
+    """Skew bound: a conversation of thousands of turns merged into
+    ``tiny`` is split by the sort's (conv_id, turn_idx) range boundaries
+    into several output blocks, each a contiguous turn range, so no
+    block holds it whole; it still arrives turn-ascending and every
+    turn matches the oracle."""
+    import shutil
+
+    import pyarrow as pa
+
+    from weakscraper_ray.pipelines import run_flagship
+    from weakscraper_ray.transcripts import _generate_chunk
+
+    for i in range(2):
+        shutil.copy(f"{tiny_dir}/part-{i:04d}.parquet", tmp_path)
+    # conv-00000010 (tiny holds conv-00000000..09), hot: >= 2 * 1500 turns
+    _generate_chunk(str(tmp_path), 2, 10, 11, seed=7, html_frac=0.2,
+                    error_frac=0.08, hot_frac=1.0, hot_mult=1500,
+                    mean_turns=10)
+    expected = pa.concat_tables([
+        pq.read_table(f"{tiny_dir}/expected.parquet"),
+        pq.read_table(tmp_path / ".expected-0002.parquet"),
+    ])
+    hot = "conv-00000010"
+    n_hot = pq.read_table(tmp_path / "part-0002.parquet").num_rows
+    assert n_hot >= 3000
+
+    blocks = _blocks(run_flagship(str(tmp_path), batch_size=256))
+    holding = [b for b in blocks
+               if b.num_rows and hot in b.column("conv_id").to_pylist()]
+    assert len(holding) >= 2
+    out = pa.concat_tables(blocks)
+    assert out.num_rows == 119 + n_hot
+    assert _order_problems(out) == []
+    _assert_matches_oracle(out, expected)
+
+
+def test_ordered_blocks_carry_full_schema(tiny_dir, tmp_path):
+    """Every block restore_order emits, on ``tiny`` and on the
+    split-file table, carries the full output schema: no schema-less
+    empty blocks."""
+    from weakscraper_ray.pipelines import read_transcripts, extraction_pipeline
+    from weakscraper_ray.stages.ordering import restore_order
+
+    _split_conversation_table(tiny_dir, tmp_path)
+    for src in (tiny_dir, str(tmp_path)):
+        extracted = extraction_pipeline(
+            read_transcripts(src), batch_size=64, restore_ordering=False
+        )
+        want = extracted.schema().names
+        blocks = _blocks(restore_order(extracted))
+        assert blocks
+        assert [b.schema.names for b in blocks] == [want] * len(blocks)
 
 
 def test_metrics_populated(extracted_df):
@@ -188,7 +243,7 @@ def test_user_functions_through_ray(tiny_dir, ray_session):
 def test_per_turn_equality_small_scale(ray_session):
     """Per-turn text equality at 'small' scale (≈20k turns, 1k convs,
     hot conversations, 8 shuffled files): the full pipeline including
-    salted ordering restore reproduces the expected twin exactly."""
+    the ordering sort reproduces the expected twin exactly."""
     import pyarrow.parquet as pq
 
     from weakscraper_ray.pipelines import run_flagship
@@ -235,9 +290,10 @@ ray.shutdown()
 )
 def test_flagship_completes_on_one_cpu(tmp_path, restore_ordering):
     """The flagship must finish on a 1-CPU Ray session, with and
-    without the salted ordering exchange: the extract stage reserves
-    no CPUs ahead of its tasks, and the sort-based shuffle needs no
-    aggregator actors, so neither can out-demand a small session. Runs
+    without the ordering sort (the ``salted`` id names the plan this
+    case was written for): the extract stage reserves no CPUs ahead of
+    its tasks, and the sort-based shuffle needs no aggregator actors,
+    so neither can out-demand a small session. Runs
     in its own process because the tests share one 4-CPU session; the
     process group is killed on timeout so a hang leaves no Ray cluster
     behind."""

@@ -201,12 +201,24 @@ def test_real_decoders_registered_without_import_probe():
 SF_SMALL = "/root/testdata/sf0.001"
 
 
+def _assert_all_dead(shards, call) -> None:
+    """The rebuild loop killed every shard of the failed attempt: none
+    restarts to hold a CPU and memory for the rest of the session."""
+    import ray
+    from ray.exceptions import RayActorError
+
+    for s in shards:
+        with pytest.raises(RayActorError):
+            ray.get(call(s), timeout=60)
+
+
 def test_hash_index_shard_death_midprobe_rebuilds(ray_session):
     """Kill one HashIndexShard between build and probe (restart loses
     its in-memory set). The epoch protocol must surface the loss as a
     typed failure, and the driver rebuild loop must re-index and still
     return the EXACT dedup answer — never the silently-wrong result an
-    empty restarted shard would give."""
+    empty restarted shard would give — and kill the failed attempt's
+    shards."""
     import ray
 
     from weakscraper_ray.pipelines.curation import q_dedup_against_index
@@ -214,18 +226,19 @@ def test_hash_index_shard_death_midprobe_rebuilds(ray_session):
     clean = sorted(
         q_dedup_against_index(SF_SMALL).to_pandas()["doc_id"].tolist()
     )
-    killed = []
+    first = []
 
     def _kill_one(shards):
         ray.kill(shards[1], no_restart=False)
-        killed.append(True)
+        first.extend(shards)
 
     chaos = sorted(
         q_dedup_against_index(SF_SMALL, _chaos_after_build=_kill_one)
         .to_pandas()["doc_id"].tolist()
     )
-    assert killed  # the kill actually happened
+    assert first  # the kill actually happened
     assert chaos == clean and len(clean) > 0
+    _assert_all_dead(first, lambda s: s.size.remote())
 
 
 def test_lsh_index_shard_death_midprobe_rebuilds(ray_session):
@@ -241,19 +254,20 @@ def test_lsh_index_shard_death_midprobe_rebuilds(ray_session):
         map(tuple, df[["doc_a", "doc_b"]].values.tolist())
     )
     clean = key(q_minhash_against_index(SF_SMALL).to_pandas())
-    killed = []
+    first = []
 
     def _kill_one(shards):
         ray.kill(shards[0], no_restart=False)
-        killed.append(True)
+        first.extend(shards)
 
     chaos = key(
         q_minhash_against_index(
             SF_SMALL, _chaos_after_build=_kill_one
         ).to_pandas()
     )
-    assert killed
+    assert first
     assert chaos == clean and len(clean) > 0
+    _assert_all_dead(first, lambda s: s.stats.remote())
 
 
 def test_index_epoch_detects_buildtime_loss(ray_session):

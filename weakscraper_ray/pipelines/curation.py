@@ -277,11 +277,7 @@ def q_dedup_against_index(sf_dir: str, _chaos_after_build=None):
     def _even_mask(batch: pa.Table) -> pa.ChunkedArray:
         return pc.equal(pc.bit_wise_and(batch.column("doc_id"), 1), 0)
 
-    def _build_index():
-        shards = [
-            HashIndexShard.options(max_restarts=-1).remote()
-            for _ in range(_INDEX_SHARDS)
-        ]
+    def _build_index(shards):
         epoch = next_epoch()
         epoch_rpc([s.begin_build.remote(epoch) for s in shards])
 
@@ -305,7 +301,7 @@ def q_dedup_against_index(sf_dir: str, _chaos_after_build=None):
         # build barrier: the index must be complete before any probe
         ds.map_batches(_build, batch_format="pyarrow").count()
         epoch_rpc([s.seal.remote(epoch) for s in shards])
-        return shards, epoch
+        return epoch
 
     def _make_probe(shards, epoch):
         def _probe(batch: pa.Table) -> pa.Table:
@@ -338,8 +334,12 @@ def q_dedup_against_index(sf_dir: str, _chaos_after_build=None):
 
     last_err: Exception | None = None
     for attempt in range(3):
+        shards = [
+            HashIndexShard.options(max_restarts=-1).remote()
+            for _ in range(_INDEX_SHARDS)
+        ]
         try:
-            shards, epoch = _build_index()
+            epoch = _build_index(shards)
             if _chaos_after_build is not None and attempt == 0:
                 _chaos_after_build(shards)
             # materialize INSIDE the retry scope so probe-time shard
@@ -349,6 +349,10 @@ def q_dedup_against_index(sf_dir: str, _chaos_after_build=None):
                 _make_probe(shards, epoch), batch_format="pyarrow"
             ).materialize()
         except Exception as e:  # noqa: BLE001 — classified below
+            # the failed attempt's shards restart forever and the
+            # traceback keeps their handles: kill them before moving on
+            for s in shards:
+                ray.kill(s, no_restart=True)
             if not is_shard_loss(e):
                 raise
             last_err = e
@@ -478,15 +482,16 @@ def q_pack_conversations(sf_dir: str):
     multi-turn transcripts into training examples (DuckDB twin:
     ``string_agg(... ORDER BY turn_idx)``).
 
-    Shape: shuffle key is the conv-HASH SHARD, not conv_id (the
-    restore_order lesson: per-conversation groups are tiny and UDF
-    overhead dominates); each shard group gets ONE vectorized
+    Shape: shuffle key is the conv-HASH SHARD, not conv_id
+    (per-conversation groups are tiny and UDF overhead would
+    dominate); each shard group gets ONE vectorized
     ``sort_by`` + a C-level pandas groupby-join. The exchange carries
     (conv_id, turn_idx, role, shard) — no document text.
 
     Partitioning assumption (documented per SURVEY.md "custom
     operators"): a conversation must stay WHOLE for ordered packing,
-    so unlike restore_order there is no turn-salt — the skew bound is
+    so it cannot split a hot conversation across reducers the way
+    restore_order's range-partitioned sort does — the skew bound is
     the max-conversation-length assumption. A pathological conv would
     inflate one shard group; detect those with heavy_hitter_convs and
     route them to a dedicated partition."""

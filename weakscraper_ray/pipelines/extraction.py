@@ -2,7 +2,8 @@
 
     read_parquet(transcripts)                 [IO tasks, column-pruned]
       → map_batches(Extractor(...), tasks)    [C1..C4, zero-copy Arrow]
-      → restore_order (salted groupby + sort) [R3/R4 shuffle]
+      → restore_order: materialize() barrier,
+        then sort by (conv_id, turn_idx)      [R3/R4 range-partitioned sort]
       → write_parquet / downstream            [S3]
 
 Nothing here calls ``ray.init`` — the driver/bench/tests own sessions.
@@ -320,7 +321,13 @@ def extraction_pipeline(
     route_column: str | None = "template_id",
     nested: bool = False,
 ):
-    """Transcripts Dataset → extracted Dataset (still lazy).
+    """Transcripts Dataset → extracted Dataset.
+
+    With ``restore_ordering=True`` (the default) the extraction runs
+    when this is called: ``restore_order`` materializes the extract
+    output so it finishes with every CPU, and the returned Dataset is
+    the lazy total sort over it. With ``restore_ordering=False`` the
+    result is fully lazy.
 
     The ``Extractor`` is passed as an instance, so Ray Data runs it as
     stateless tasks: each task unpickles a fresh copy and compiles only

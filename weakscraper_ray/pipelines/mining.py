@@ -793,11 +793,7 @@ def q_minhash_against_index(sf_dir: str, _chaos_after_build=None):
         keys = [(int(b) << 64) | int(h) for b, h in zip(band, bh)]
         return keys, ids
 
-    def _build_index():
-        shards = [
-            LSHIndexShard.options(max_restarts=-1).remote()
-            for _ in range(_MAI_SHARDS)
-        ]
+    def _build_index(shards):
         epoch = next_epoch()
         epoch_rpc([s.begin_build.remote(epoch) for s in shards])
 
@@ -826,7 +822,7 @@ def q_minhash_against_index(sf_dir: str, _chaos_after_build=None):
         # build barrier: the index must be complete before any probe
         ds.map_batches(_build, batch_format="pyarrow").count()
         epoch_rpc([s.seal.remote(epoch) for s in shards])
-        return shards, epoch
+        return epoch
 
     def _make_probe(shards, epoch):
         def _probe(batch: pa.Table) -> pa.Table:
@@ -875,8 +871,12 @@ def q_minhash_against_index(sf_dir: str, _chaos_after_build=None):
     uniq = None
     last_err = None
     for attempt in range(3):
+        shards = [
+            LSHIndexShard.options(max_restarts=-1).remote()
+            for _ in range(_MAI_SHARDS)
+        ]
         try:
-            shards, epoch = _build_index()
+            epoch = _build_index(shards)
             if _chaos_after_build is not None and attempt == 0:
                 _chaos_after_build(shards)
             cand = _schema_guard(
@@ -892,6 +892,10 @@ def q_minhash_against_index(sf_dir: str, _chaos_after_build=None):
             )
             break
         except Exception as e:  # noqa: BLE001 — classified below
+            # the failed attempt's shards restart forever and the
+            # traceback keeps their handles: kill them before moving on
+            for s in shards:
+                ray.kill(s, no_restart=True)
             if not is_shard_loss(e):
                 raise
             last_err = e

@@ -2220,7 +2220,7 @@ SQL_SHUFFLE_TRAIN = "SELECT doc_id, lang, source FROM documents"
 # Heavy hitters: bounded-memory candidate generation (per-batch
 # Misra-Gries summary over pre-aggregated counts) + exact recount of
 # the bounded candidate set — exact output, sketch-bounded memory.
-# Finds the hot conversations the flagship's salting exists for.
+# Finds the hot conversations that skew a per-conversation exchange.
 # =====================================================================
 
 _HH_K = 256          # counters per batch summary (memory bound)

@@ -1,24 +1,27 @@
-"""Stable (conv_id, turn_idx) ordering restore with hot-conversation
-salting (SURVEY.md R3/R4, BASELINE.json "groupby-conv_id plus
-per-group sort ... repartitions by conv_id hash with salting for hot
-conversations").
+"""Stable (conv_id, turn_idx) ordering restore (SURVEY.md R3/R4).
 
-Implementation note (measured at bench scale): grouping by raw
-``conv_id`` yields ~1 tiny group per conversation (tens of rows), and
-per-group UDF overhead dominates — the stage stopped scaling 8→32
-CPUs. So the shuffle key is the conv-HASH SHARD (a few groups per
-CPU), and the per-group sort is one vectorized Arrow ``sort_by`` over
-the whole shard: every conversation's turns are contiguous and sorted
-within its shard group, which is exactly the stable-ordering contract.
+BASELINE.json asks for stable (conv_id, turn_idx) ordering, with hot
+conversations split ("salting for hot conversations") so that no
+partition of the exchange is unbounded. ``restore_order`` meets both
+with one total sort on the composite key, after a ``materialize()``
+barrier:
 
-Skew handling: the key gets a ``salt = turn_idx // turns_per_group``
-component. For normal conversations salt==0 and the conversation stays
-whole; a hot conversation (≫ turns_per_group turns) splits into
-bounded contiguous turn-ranges so no single shuffle partition receives
-an unbounded group. Within each (shard, salt) group rows are fully
-sorted, and salt buckets are contiguous turn ranges, so concatenating
-a conversation's buckets in salt order restores total order without a
-global sort. Requires no pre-pass to identify hot conversations.
+- The barrier lets extraction finish with every CPU of the session.
+  The sort is an all-to-all barrier anyway, so streaming extract
+  output into it gains nothing; while both run at once, Ray Data's
+  operator resource reservation sets CPUs aside for the stages still
+  waiting behind the sort and leaves the extract stage about one task
+  slot.
+- The sort range-partitions on sampled ``(conv_id, turn_idx)``
+  boundaries, so a hot conversation is split at turn boundaries into
+  contiguous turn ranges held by different reducers: one conversation's
+  skew cannot make a partition unbounded, with no salt column and no
+  pre-pass to find hot conversations. Every conversation is one
+  turn-ascending run, and blocks arrive in key order: the output is
+  totally ordered.
+
+``_conv_hash`` is the conversation hash that the checkpointed sink and
+the curation stages partition by.
 """
 
 from __future__ import annotations
@@ -27,12 +30,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-#: turns per salt bucket — bounds any shuffle group's share of one
-#: conversation regardless of skew
+#: turns per salt bucket of ``add_shard_salt``
 DEFAULT_TURNS_PER_GROUP = 4096
-
-#: FNV-ish multiplier for the string hash below
-_FNV = np.uint64(1099511628211)
 
 
 def _conv_hash(conv_ids: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -59,6 +58,7 @@ def _conv_hash(conv_ids: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return uhash[codes]
 
 
+# add_shard_salt and DEFAULT_TURNS_PER_GROUP: kept for perfbench, which imports them
 def add_shard_salt(n_shards: int, turns_per_group: int = DEFAULT_TURNS_PER_GROUP):
     def _add(batch: pa.Table) -> pa.Table:
         h = _conv_hash(batch.column("conv_id"))
@@ -74,36 +74,11 @@ def add_shard_salt(n_shards: int, turns_per_group: int = DEFAULT_TURNS_PER_GROUP
     return _add
 
 
-def _sort_group(group: pa.Table) -> pa.Table:
-    return group.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+def restore_order(ds):
+    """Materialize ``ds``, then sort it totally by (conv_id, turn_idx).
 
-
-def restore_order(
-    ds,
-    n_shards: int | None = None,
-    turns_per_group: int = DEFAULT_TURNS_PER_GROUP,
-):
-    """groupby(conv-hash shard ⊕ turn-salt) → one vectorized per-group
-    sort by (conv_id, turn_idx).
-
-    Output groups hold whole conversations (or bounded contiguous
-    turn-ranges of hot ones), internally fully sorted. Block order
-    across groups is NOT globally sorted — use
-    ``ds.sort(["conv_id", "turn_idx"])`` on small final artifacts when
-    one totally-ordered view is required; the per-turn equality
-    contract needs only stable (conv_id, turn_idx) keyed rows.
+    Runs the upstream plan when called; the returned Dataset holds the
+    sort lazily. Hot conversations split across reducers at turn
+    boundaries (see the module docstring).
     """
-    if n_shards is None:
-        try:
-            import ray
-
-            n_shards = max(16, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:  # pragma: no cover
-            n_shards = 64
-    salted = ds.map_batches(
-        add_shard_salt(n_shards, turns_per_group), batch_format="pyarrow"
-    )
-    grouped = salted.groupby(["shard", "salt"]).map_groups(
-        _sort_group, batch_format="pyarrow"
-    )
-    return grouped.drop_columns(["shard", "salt"])
+    return ds.materialize().sort(["conv_id", "turn_idx"])

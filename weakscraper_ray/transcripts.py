@@ -12,7 +12,8 @@ unit-tested pure-Python matcher).
 Properties exercised on purpose:
 - rows written SHUFFLED across multiple files → the pipeline's stable
   (conv_id, turn_idx) ordering restore (SURVEY.md R4) is real work;
-- ~1% of conversations are HOT (many turns) → salting (R3) is real;
+- ~1% of conversations are HOT (many turns) → the ordering sort's
+  split of a conversation across reducers (R3) is real;
 - a fraction of HTML turns are MUTATED to mismatch their template →
   the error-as-data path (§2.6) is exercised end-to-end;
 - non-HTML turns (plain lorem text) → the R1 HTML filter is real.
