@@ -240,36 +240,6 @@ def test_manifest_records_input_lineage(tmp_path, ray_session):
     assert "path" not in sample.column_names
 
 
-def test_jsonl_source_equals_parquet_source(tmp_path, ray_session):
-    """The JSONL transcripts source feeds the identical pipeline and
-    yields byte-identical extraction results to the parquet source."""
-    from weakscraper_ray.pipelines.extraction import (
-        extraction_pipeline,
-        parquet_dir_to_jsonl,
-        read_transcripts,
-        read_transcripts_json,
-    )
-    from weakscraper_ray.transcripts import ensure_generated
-
-    src = ensure_generated("tiny")
-    jdir = str(tmp_path / "jsonl")
-    n = parquet_dir_to_jsonl(src, jdir)
-    assert n > 0
-
-    key = ["conv_id", "turn_idx"]
-    a = (
-        extraction_pipeline(read_transcripts(src), restore_ordering=False)
-        .to_pandas().sort_values(key).reset_index(drop=True)
-    )
-    b = (
-        extraction_pipeline(read_transcripts_json(jdir), restore_ordering=False)
-        .to_pandas().sort_values(key).reset_index(drop=True)
-    )
-    for col in ["conv_id", "turn_idx", "template_id", "status", "error_kind",
-                "extracted_text", "fields"]:
-        assert (a[col] == b[col]).all(), col
-
-
 def test_embedding_neardup_lsh_recall(ray_session):
     """Multi-table LSH near-dup: perfect precision (pairs are
     cosine-verified in-bucket) and a measured recall floor vs the

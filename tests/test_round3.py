@@ -381,38 +381,6 @@ def test_approx_quantiles_query_matches_exact_within_bound(ray_session):
             assert want <= got <= want * (1 + QH_REL_ERR) * (1 + 1e-12)
 
 
-def test_csv_source_equals_parquet_source(tmp_path, ray_session):
-    """The CSV transcripts source feeds the identical pipeline and
-    yields byte-identical extraction results to the parquet source
-    (third input format; quoted multi-line HTML survives the CSV
-    round-trip)."""
-    from weakscraper_ray.pipelines.extraction import (
-        extraction_pipeline,
-        parquet_dir_to_csv,
-        read_transcripts,
-        read_transcripts_csv,
-    )
-    from weakscraper_ray.transcripts import ensure_generated
-
-    src = ensure_generated("tiny")
-    cdir = str(tmp_path / "csv")
-    n = parquet_dir_to_csv(src, cdir)
-    assert n > 0
-
-    key = ["conv_id", "turn_idx"]
-    a = (
-        extraction_pipeline(read_transcripts(src), restore_ordering=False)
-        .to_pandas().sort_values(key).reset_index(drop=True)
-    )
-    b = (
-        extraction_pipeline(read_transcripts_csv(cdir), restore_ordering=False)
-        .to_pandas().sort_values(key).reset_index(drop=True)
-    )
-    for col in ["conv_id", "turn_idx", "template_id", "status", "error_kind",
-                "extracted_text", "fields"]:
-        assert (a[col] == b[col]).all(), col
-
-
 def test_decontaminate_invariants(ray_session):
     """Decontamination: no benchmark doc appears in the output, every
     reported doc has >= 1 leaked n-gram, and the result is
@@ -442,34 +410,6 @@ def test_split_assign_partitions_corpus(ray_session):
     assert sorted(df.split) == ["test", "train", "val"]
     assert df.n_docs.sum() == total
     assert (df.n_docs > 0).all()
-
-
-def test_cli_extract_csv_format(tmp_path):
-    """CLI --format csv: same roll-up metrics as the parquet run over
-    the same logical table (fresh process each)."""
-    import json
-    import subprocess
-    import sys
-
-    from weakscraper_ray.pipelines.extraction import parquet_dir_to_csv
-    from weakscraper_ray.transcripts import ensure_generated
-
-    src = ensure_generated("tiny")
-    cdir = tmp_path / "csv"
-    parquet_dir_to_csv(src, str(cdir))
-
-    rolls = []
-    for fmt, inp in (("parquet", src), ("csv", str(cdir))):
-        out = tmp_path / f"out_{fmt}"
-        r = subprocess.run(
-            [sys.executable, "-m", "weakscraper_ray", "extract",
-             "--input", str(inp), "--out", str(out), "--format", fmt,
-             "--no-lineage", "--num-cpus", "4", "--shards", "4"],
-            capture_output=True, text=True, cwd="/root/repo", timeout=300,
-        )
-        assert r.returncode == 0, r.stderr[-2000:]
-        rolls.append(json.loads(r.stdout.strip().splitlines()[-1]))
-    assert rolls[0] == rolls[1]
 
 
 def test_shuffle_train_permutation_and_determinism(ray_session):
@@ -667,39 +607,6 @@ def test_mixture_sample_weights_and_determinism(ray_session):
 
     mu, sd = 0.25 * n_odd_src, math.sqrt(0.25 * 0.75 * n_odd_src)
     assert abs(odd_kept - mu) < 3.5 * sd
-
-
-def test_jsonl_sink_roundtrip_and_manifests(ray_session, tmp_path):
-    """fmt='jsonl' sink: atomic parts + manifests identical in shape
-    to the parquet sink; content round-trips through pandas read_json
-    (per-turn extracted_text equality vs the dataset itself)."""
-    import glob
-    import os
-
-    import pandas as pd
-
-    from weakscraper_ray.pipelines import run_flagship
-    from weakscraper_ray.sources.checkpoint import write_partitioned
-    from weakscraper_ray.transcripts import ensure_generated
-
-    ds = run_flagship(
-        ensure_generated("tiny"), batch_size=64, restore_ordering=False,
-    )
-    out = str(tmp_path / "jsonl_sink")
-    mf = write_partitioned(ds, out, n_shards=4, fmt="jsonl")
-    assert len(mf) == 4
-    parts = sorted(glob.glob(os.path.join(out, "part=*", "data.jsonl")))
-    assert len(parts) == 4
-    back = pd.concat([pd.read_json(p, lines=True) for p in parts])
-    src = ds.to_pandas()
-    assert len(back) == len(src) == mf.rows.sum()
-    key = ["conv_id", "turn_idx"]
-    a = back.sort_values(key).reset_index(drop=True)
-    b = src.sort_values(key).reset_index(drop=True)
-    assert a.extracted_text.fillna("").tolist() == b.extracted_text.fillna("").tolist()
-    # resume: a second write over the same dir is a no-op (all committed)
-    mf2 = write_partitioned(ds, out, n_shards=4, fmt="jsonl")
-    assert len(mf2) == 0
 
 
 def test_embedding_pca_matches_single_threaded_twin(ray_session):
@@ -1143,34 +1050,3 @@ def test_minhash_against_index_cross_half_only(ray_session):
         if (a % 2) != (b % 2)
     }
     assert got == cross
-
-
-def test_csv_sink_roundtrip_and_manifests(ray_session, tmp_path):
-    """fmt='csv' sink: same atomic parts + manifests; RFC-4180 quoting
-    survives the extracted HTML text (embedded quotes) round-trip."""
-    import glob
-    import os
-
-    import pandas as pd
-
-    from weakscraper_ray.pipelines import run_flagship
-    from weakscraper_ray.sources.checkpoint import write_partitioned
-    from weakscraper_ray.transcripts import ensure_generated
-
-    ds = run_flagship(
-        ensure_generated("tiny"), batch_size=64, restore_ordering=False,
-    )
-    out = str(tmp_path / "csv_sink")
-    mf = write_partitioned(ds, out, n_shards=4, fmt="csv")
-    assert len(mf) == 4
-    parts = sorted(glob.glob(os.path.join(out, "part=*", "data.csv")))
-    assert len(parts) == 4
-    back = pd.concat([pd.read_csv(p) for p in parts])
-    src = ds.to_pandas()
-    assert len(back) == len(src) == mf.rows.sum()
-    key = ["conv_id", "turn_idx"]
-    a = back.sort_values(key).reset_index(drop=True)
-    b = src.sort_values(key).reset_index(drop=True)
-    assert a.extracted_text.fillna("").tolist() == b.extracted_text.fillna("").tolist()
-    mf2 = write_partitioned(ds, out, n_shards=4, fmt="csv")
-    assert len(mf2) == 0

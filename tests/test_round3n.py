@@ -264,39 +264,6 @@ def test_ac_scanner_counts_equal_naive_scan():
     assert got == want
 
 
-def test_feather_source_equals_parquet_source(tmp_path, ray_session):
-    """The Arrow-IPC transcripts source feeds the identical pipeline
-    and yields byte-identical extraction results to the parquet
-    source (the JSONL/CSV equivalence tests' fourth sibling)."""
-    from weakscraper_ray.pipelines.extraction import (
-        extraction_pipeline,
-        parquet_dir_to_feather,
-        read_transcripts,
-        read_transcripts_feather,
-    )
-    from weakscraper_ray.transcripts import ensure_generated
-
-    src = ensure_generated("tiny")
-    fdir = str(tmp_path / "feather")
-    n = parquet_dir_to_feather(src, fdir)
-    assert n > 0
-
-    key = ["conv_id", "turn_idx"]
-    a = (
-        extraction_pipeline(read_transcripts(src), restore_ordering=False)
-        .to_pandas().sort_values(key).reset_index(drop=True)
-    )
-    b = (
-        extraction_pipeline(
-            read_transcripts_feather(fdir), restore_ordering=False
-        )
-        .to_pandas().sort_values(key).reset_index(drop=True)
-    )
-    for col in ["conv_id", "turn_idx", "template_id", "status",
-                "error_kind", "extracted_text", "fields"]:
-        assert (a[col] == b[col]).all(), col
-
-
 def test_sb_clip_equals_bruteforce_leave_one_out():
     from weakscraper_ray.pipelines.patterns import _sb_clip
 

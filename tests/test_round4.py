@@ -243,70 +243,3 @@ def test_mulmod61_matches_python_ints():
     assert np.array_equal(
         _red61(x), np.array([int(v) % _STRUCT_M for v in x], np.uint64)
     )
-
-
-# ------------------------------------------------- ORC source parity
-
-def test_orc_source_equals_parquet_source(tmp_path, ray_session):
-    """The ORC transcripts source feeds the identical pipeline and
-    yields byte-identical extraction results to the parquet source
-    (fifth input format; ns→µs ts normalization inside the decode)."""
-    from weakscraper_ray.pipelines.extraction import (
-        extraction_pipeline,
-        parquet_dir_to_orc,
-        read_transcripts,
-        read_transcripts_orc,
-    )
-    from weakscraper_ray.transcripts import ensure_generated
-
-    src = ensure_generated("tiny")
-    odir = str(tmp_path / "orc")
-    n = parquet_dir_to_orc(src, odir)
-    assert n > 0
-
-    key = ["conv_id", "turn_idx"]
-    a = (
-        extraction_pipeline(read_transcripts(src), restore_ordering=False)
-        .to_pandas().sort_values(key).reset_index(drop=True)
-    )
-    b = (
-        extraction_pipeline(read_transcripts_orc(odir), restore_ordering=False)
-        .to_pandas().sort_values(key).reset_index(drop=True)
-    )
-    for col in ["conv_id", "turn_idx", "template_id", "status", "error_kind",
-                "extracted_text", "fields"]:
-        assert (a[col] == b[col]).all(), col
-
-
-def test_orc_sink_roundtrip_and_manifests(ray_session, tmp_path):
-    """fmt='orc' sink: atomic parts + manifests identical in shape to
-    the parquet sink; content round-trips through pyarrow.orc
-    (per-turn extracted_text equality vs the dataset itself)."""
-    import glob
-    import os
-
-    import pandas as pd
-    from pyarrow import orc as _orc
-
-    from weakscraper_ray.pipelines import run_flagship
-    from weakscraper_ray.sources.checkpoint import write_partitioned
-    from weakscraper_ray.transcripts import ensure_generated
-
-    ds = run_flagship(
-        ensure_generated("tiny"), batch_size=64, restore_ordering=False,
-    )
-    out = str(tmp_path / "orc_sink")
-    mf = write_partitioned(ds, out, n_shards=4, fmt="orc")
-    assert len(mf) == 4
-    parts = sorted(glob.glob(os.path.join(out, "part=*", "data.orc")))
-    assert len(parts) == 4
-    back = pd.concat([_orc.read_table(p).to_pandas() for p in parts])
-    src = ds.to_pandas()
-    assert len(back) == len(src) == mf.rows.sum()
-    key = ["conv_id", "turn_idx"]
-    a = back.sort_values(key).reset_index(drop=True)
-    b = src.sort_values(key).reset_index(drop=True)
-    assert a.extracted_text.fillna("").tolist() == b.extracted_text.fillna("").tolist()
-    # resume: a second write over the same dir is a no-op (all committed)
-    mf2 = write_partitioned(ds, out, n_shards=4, fmt="orc")
-    assert len(mf2) == 0

@@ -1,5 +1,5 @@
 """CLI entry point: run the extraction pipeline over a transcripts
-Parquet directory.
+directory in any ``sources.formats.FORMATS`` format.
 
     python -m weakscraper_ray extract --input DIR --out DIR \
         [--format parquet|jsonl|csv|orc] [--out-format parquet|jsonl|csv|orc] \
@@ -14,21 +14,40 @@ manifest roll-up as JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+
+from .sources.formats import FORMATS
+
+
+@contextlib.contextmanager
+def _ray_session(num_cpus: int | None):
+    """A local Ray session for one command (guarded init; the library
+    never calls ray.init), shut down when the command ends."""
+    import ray
+
+    if not ray.is_initialized():
+        ray.init(address="local", num_cpus=num_cpus,
+                 include_dashboard=False, ignore_reinit_error=True,
+                 logging_level="ERROR")
+    try:
+        yield
+    finally:
+        ray.shutdown()
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="weakscraper_ray")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    ex = sub.add_parser("extract", help="template extraction over transcripts parquet")
-    ex.add_argument("--input", required=True, help="transcripts parquet dir/file")
-    ex.add_argument("--format", choices=["parquet", "jsonl", "csv", "orc"],
+    ex = sub.add_parser("extract", help="template extraction over a transcripts table")
+    ex.add_argument("--input", required=True, help="transcripts dir/file")
+    ex.add_argument("--format", choices=sorted(FORMATS),
                     default="parquet",
                     help="input format (all normalize to one schema)")
     ex.add_argument("--out", required=True, help="checkpointed output dir")
-    ex.add_argument("--out-format", choices=["parquet", "jsonl", "csv", "orc"],
+    ex.add_argument("--out-format", choices=sorted(FORMATS),
                     default="parquet",
                     help="partition file format (manifests/resume identical)")
     ex.add_argument("--templates-dir", help="dir of <name>.html wp-* templates")
@@ -64,22 +83,15 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     if args.cmd == "checksum":
-        import ray
         import ray.data
 
-        if not ray.is_initialized():
-            ray.init(address="local", num_cpus=args.num_cpus,
-                     include_dashboard=False, ignore_reinit_error=True,
-                     logging_level="ERROR")
-        try:
+        with _ray_session(args.num_cpus):
             from .pipelines.series import checksum_dataset
 
             cols = [c.strip() for c in args.columns.split(",") if c.strip()]
             ds = ray.data.read_parquet(args.input, columns=cols)
             print(json.dumps(checksum_dataset(ds, cols)))
             return 0
-        finally:
-            ray.shutdown()
 
     if args.cmd == "query":
         from .pipelines import relational as R
@@ -89,56 +101,22 @@ def main(argv: list[str] | None = None) -> int:
             for n in sorted(R.QUERIES):
                 print(f"{n:28s} {'oracle' if n in oracled else 'rows-only'}")
             return 0
-        import ray
-
-        if not ray.is_initialized():
-            ray.init(address="local", num_cpus=args.num_cpus,
-                     include_dashboard=False, ignore_reinit_error=True,
-                     logging_level="ERROR")
-        try:
+        with _ray_session(args.num_cpus):
             res = R.QUERIES[args.name](args.sf_dir)
             df = res.to_pandas() if hasattr(res, "to_pandas") else res
             print(df.head(args.limit).to_string(index=False))
             print(f"[{len(df)} rows]")
             return 0
-        finally:
-            ray.shutdown()
 
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=args.num_cpus,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
-    try:
-        from .pipelines.extraction import (
-            extraction_pipeline,
-            read_transcripts,
-            read_transcripts_csv,
-            read_transcripts_json,
-        )
+    with _ray_session(args.num_cpus):
+        from .pipelines.extraction import extraction_pipeline, read_transcripts
         from .sources import metrics_rollup, write_partitioned
 
-        if args.format == "jsonl":
-            def _read_input(path):  # lineage is a parquet-reader feature
-                return read_transcripts_json(path)
-        elif args.format == "csv":
-            def _read_input(path):
-                return read_transcripts_csv(path)
-        elif args.format == "orc":
-            def _read_input(path):
-                from .pipelines.extraction import read_transcripts_orc
+        def _read_input():
+            return read_transcripts(args.input, fmt=args.format,
+                                    include_paths=not args.no_lineage)
 
-                return read_transcripts_orc(path)
-        else:
-            def _read_input(path):
-                return read_transcripts(path, include_paths=not args.no_lineage)
-
-        ds = _read_input(args.input)
+        ds = _read_input()
         if not args.no_resume:
             # prune committed shards BEFORE extraction: a resume skips
             # the expensive parse+match work, not just the writes
@@ -159,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.learn:
             from .pipelines.learning import learn_templates
 
-            templates = learn_templates(_read_input(args.input))
+            templates = learn_templates(_read_input())
 
         out = extraction_pipeline(
             ds,
@@ -176,8 +154,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(json.dumps(metrics_rollup(args.out)))
         return 0
-    finally:
-        ray.shutdown()
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Sources & sinks: parquet IO helpers and resumable checkpointed output."""
+"""Sources & sinks: the transcript format table and resumable checkpointed output."""
 
 from .checkpoint import (
     committed_partitions,

@@ -5,7 +5,7 @@ committed partition").
 
 Layout:
 
-    out/part={partition_id}/data.parquet
+    out/part={partition_id}/data.{suffix}   (sources.formats.FORMATS[fmt])
     out/_manifest/{partition_id}.json
 
 Commit protocol: write data to a temp file → fsync → atomic rename →
@@ -25,10 +25,10 @@ import hashlib
 import json
 import os
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
+
+from .formats import FORMATS, format_of
 
 
 def shard_of(conv_id: str, n_shards: int) -> int:
@@ -123,14 +123,10 @@ def _write_one_partition(group: pa.Table, out_dir: str,
     nested columns like ``spans`` survive intact) — writes one
     partition atomically and returns its manifest row.
 
-    ``fmt="jsonl"`` emits newline-delimited JSON parts,
-    ``fmt="csv"`` RFC-4180 CSV parts (quoted fields survive embedded
-    newlines/quotes in extracted HTML text — round-trip tested against
-    the CSV source) and ``fmt="orc"`` ORC parts (columnar warehouse
-    export; nested columns survive like parquet) instead of parquet,
-    completing the source/sink format matrix. Manifests, atomicity and
-    resume are format-agnostic — the committed set is keyed on
-    manifest files."""
+    The part is ``data.<suffix>`` written by ``FORMATS[fmt].write``,
+    the same writer ``formats.convert_dir`` uses (CSV flattens nested
+    columns to JSON strings). Manifests, atomicity and resume are
+    format-agnostic — the committed set is keyed on manifest files."""
     shard = int(group.column("shard")[0].as_py())
     if chaos_hook is not None:  # test seam: fault injection at the
         chaos_hook(shard, "pre_data")  # commit protocol's two phases
@@ -149,36 +145,10 @@ def _write_one_partition(group: pa.Table, out_dir: str,
         [("conv_id", "ascending"), ("turn_idx", "ascending")]
     )
 
-    ext = fmt if fmt in ("parquet", "csv", "orc") else "jsonl"
-    tmp = os.path.join(pdir, f".data.{ext}.tmp")
-    final = os.path.join(pdir, f"data.{ext}")
-    if fmt == "parquet":
-        pq.write_table(data, tmp)
-    elif fmt == "orc":
-        from pyarrow import orc as _orc
-
-        _orc.write_table(data, tmp)
-    elif fmt == "csv":
-        import pyarrow.csv as pacsv
-
-        # CSV is flat: nested columns (e.g. the spans list<struct>)
-        # serialize as JSON strings, mirroring how the CSV *source*
-        # expects structured payloads
-        flat_cols = {}
-        for name in data.column_names:
-            col = data.column(name)
-            if pa.types.is_nested(col.type):
-                flat_cols[name] = pa.array(
-                    [json.dumps(v) for v in col.to_pylist()], pa.string()
-                )
-            else:
-                flat_cols[name] = col
-        pacsv.write_csv(pa.table(flat_cols), tmp)
-    else:
-        data.to_pandas().to_json(
-            tmp, orient="records", lines=True, date_format="iso",
-            force_ascii=False,
-        )
+    out = FORMATS[fmt]
+    tmp = os.path.join(pdir, f".data.{out.suffix}.tmp")
+    final = os.path.join(pdir, f"data.{out.suffix}")
+    out.write(data, tmp)
     with open(tmp, "rb") as fh:
         os.fsync(fh.fileno())
     os.replace(tmp, final)
@@ -239,6 +209,7 @@ def write_partitioned(ds, out_dir: str, n_shards: int = 16, resume: bool = True,
     chaos tests; it ships with the write closure so it executes in the
     worker.
     """
+    format_of(fmt)  # fail on the driver, before any partition is written
     os.makedirs(out_dir, exist_ok=True)
     check_sharding(out_dir, n_shards)
     if resume:
