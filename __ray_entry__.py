@@ -28,16 +28,17 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """One entry per implemented operator/pipeline from SURVEY.md §2."""
-    from weakscraper_ray.pipelines import relational
+    """One entry per implemented operator/pipeline from SURVEY.md §2,
+    merged over ``weakscraper_ray.pipelines.registry.FAMILIES``."""
+    from weakscraper_ray.pipelines import registry
 
-    return relational.QUERIES
+    return registry.queries()
 
 
 def oracle_sql() -> dict[str, str]:
-    """DuckDB twins: static SQL for the relational family plus
-    deterministic expected-twin parquets (built here, single-threaded)
-    for the extraction family — see weakscraper_ray/oracles.py."""
-    from weakscraper_ray.pipelines import relational
+    """DuckDB twins: each family's static SQL plus its deterministic
+    expected-twin parquets (built here, single-threaded) — see
+    weakscraper_ray/oracles.py."""
+    from weakscraper_ray.pipelines import registry
 
-    return relational.build_oracle_sql()
+    return registry.oracle_sql()

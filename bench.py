@@ -41,6 +41,75 @@ HEADLINE_ONLY = os.environ.get("GRAFT_HEADLINE_ONLY", "") == "1"
 DUMP_STATS = os.environ.get("GRAFT_DUMP_STATS", "") == "1"
 
 
+#: the representative query list the plain run times (every name is
+#: registered in weakscraper_ray.pipelines.registry)
+QUERY_NAMES = [
+    "pricing_summary", "broadcast_join", "dedup_exact",
+    "dedup_minhash", "dedup_clusters", "embed_knn",
+    "knn_cosine", "quality_score", "token_count", "training_prep",
+    "decontaminate", "shuffle_train", "pack_conversations",
+    "pii_scrub", "word_diversity", "inverted_index", "dedup_edit",
+    "embedding_pca", "regional_revenue", "curation_prep",
+    "minhash_against_index", "kmeans_clusters", "salted_join",
+    "triangles", "gap_islands", "substring_dedup", "interval_coverage",
+    "peak_concurrency", "token_entropy", "table_checksum",
+    "wau_rolling", "reconcile_orders", "event_path", "pmi_bigrams",
+    "itemset_pairs", "upsert_snapshot", "bpe_top_pairs",
+    "zorder_layout", "ivm_priority_totals", "zipf_slope", "ab_test",
+    "late_events", "right_join", "mlm_mask", "rolling_corr",
+    "psi_drift", "cms_estimate", "benford_digits", "winsorize_value",
+    "bfs_hops", "jaccard_neighbors", "dedup_conv_structure",
+    "fertility_by_lang", "qa_pairs", "tool_usage", "log2_histogram",
+    "kcenter_select", "bpe_encode", "pq_topk", "attribution",
+    "event_dedup", "conv_filter", "dialog_grammar", "salt_plan",
+    "median_select", "ivm_join_delta", "equidepth_bins",
+    "mannwhitney_u", "clustering_coeff", "phash_neardup",
+    "target_encode_loo", "binary_source", "mad_outliers",
+    "weighted_median", "chisq_independence", "kcore", "mst_forest",
+    "embedding_rp", "label_knn_agreement", "ssjoin_prefix",
+    "kanon_audit", "scd2_intervals", "transition_probs", "ewma_daily",
+    "bootstrap_ci", "mutual_info", "survival_km", "emd_drift",
+    "isotonic_daily", "llr_bigrams", "hits", "best_split",
+    "rrf_fusion", "stupid_backoff", "skipgram_pairs",
+    "dp_counts", "holt_linear", "rendezvous_assign",
+    "hll_exact", "bloom_semijoin", "sssp_weighted", "widest_path",
+    "walk_counts", "ppr_seeded", "decile_census", "nb_classify",
+    "gini_stump", "edit1_join", "zorder_cells", "interval_overlap",
+    "cohort_retention", "recency_score",
+    "gini_concentration", "theil_index", "hhi_concentration",
+    "mis_luby", "greedy_matching", "hyperball_reach",
+    "stream_join_60s", "sax_daily", "theta_join_cdf", "kmv_intersect",
+    "k_truss", "sprt_test", "auc_nb", "calibration_bins", "ndcg_bm25",
+    "seed_select", "gram_matrix", "hill_tail", "markov_entropy",
+    "dedup_containment", "semdedup", "kn_bigram", "dedup_chain",
+    "feature_hash", "seq_triples", "dtw_distance", "ols_multi",
+    "modularity_score", "jenks_breaks", "lexicon_scan", "self_bleu",
+    "kendall_tau", "cohen_kappa", "yule_k", "spearman_rho",
+    "mann_kendall", "assortativity", "rich_club", "ams_f2",
+    "anova_f", "kruskal_wallis", "dft_power", "brier_score",
+    "hilbert_layout", "dbscan_clusters", "levene_test", "chi2_terms", "avg_precision",
+    "best_f1", "corr_matrix", "runs_test", "perm_entropy", "quantile_map",
+    "durbin_watson", "cochran_armitage",
+    "full_outer_join", "assoc_rules", "matrix_profile", "mutual_knn",
+    "haar_energy", "burst_detect", "cluster_medoids", "silhouette_score",
+    "textrank_terms", "friedman_test", "page_trend", "tukey_q",
+    "mood_median", "mcnemar_test", "cox_stuart", "jonckheere_trend",
+    "bartlett_test", "wilcoxon_signed", "pettitt_test", "ljung_box",
+    "cramer_vonmises", "hoeffding_d", "cochran_q", "hodges_lehmann",
+    "mood_scale", "hurst_rs", "sample_entropy", "cronbach_alpha",
+    "ldiv_audit", "chao1_richness", "seasonal_decompose",
+    "gumbel_moments", "moran_i", "logrank_test", "forecast_eval",
+    "xcorr_daily", "effective_dim", "mmd_embeddings",
+    "cuped_adjust", "mantel_haenszel", "fleiss_kappa",
+    "good_turing", "heaps_law", "kendall_w", "ansari_bradley",
+    "turn_latency", "response_ratio", "conv_truncate",
+    "promo_revenue", "returned_revenue", "daily_churn", "temperature_mix",
+    "extract_agreement", "readability", "turn_dedup",
+    "gopher_repetition", "turn_echo", "tool_bigrams",
+    "ngram_novelty", "dedup_keep_best",
+]
+
+
 def _headline(num_cpus: int) -> tuple[float, float, int]:
     """Flagship extraction pipeline over the bench transcripts table:
     read → extract tasks → ordering restore → count. Times TWO paths:
@@ -89,78 +158,15 @@ def _run_queries(sf_dir: str) -> tuple[dict[str, float], dict, dict]:
     broadcast/exchange regime ran, at what measured set size —
     VERDICT r4 #7)."""
     from weakscraper_ray.functions import gates as G
-    from weakscraper_ray.pipelines import relational as R
+    from weakscraper_ray.pipelines import registry
 
-    names = [
-        "pricing_summary", "broadcast_join", "dedup_exact",
-        "dedup_minhash", "dedup_clusters", "embed_knn",
-        "knn_cosine", "quality_score", "token_count", "training_prep",
-        "decontaminate", "shuffle_train", "pack_conversations",
-        "pii_scrub", "word_diversity", "inverted_index", "dedup_edit",
-        "embedding_pca", "regional_revenue", "curation_prep",
-        "minhash_against_index", "kmeans_clusters", "salted_join",
-        "triangles", "gap_islands", "substring_dedup", "interval_coverage",
-        "peak_concurrency", "token_entropy", "table_checksum",
-        "wau_rolling", "reconcile_orders", "event_path", "pmi_bigrams",
-        "itemset_pairs", "upsert_snapshot", "bpe_top_pairs",
-        "zorder_layout", "ivm_priority_totals", "zipf_slope", "ab_test",
-        "late_events", "right_join", "mlm_mask", "rolling_corr",
-        "psi_drift", "cms_estimate", "benford_digits", "winsorize_value",
-        "bfs_hops", "jaccard_neighbors", "dedup_conv_structure",
-        "fertility_by_lang", "qa_pairs", "tool_usage", "log2_histogram",
-        "kcenter_select", "bpe_encode", "pq_topk", "attribution",
-        "event_dedup", "conv_filter", "dialog_grammar", "salt_plan",
-        "median_select", "ivm_join_delta", "equidepth_bins",
-        "mannwhitney_u", "clustering_coeff", "phash_neardup",
-        "target_encode_loo", "binary_source", "mad_outliers",
-        "weighted_median", "chisq_independence", "kcore", "mst_forest",
-        "embedding_rp", "label_knn_agreement", "ssjoin_prefix",
-        "kanon_audit", "scd2_intervals", "transition_probs", "ewma_daily",
-        "bootstrap_ci", "mutual_info", "survival_km", "emd_drift",
-        "isotonic_daily", "llr_bigrams", "hits", "best_split",
-        "rrf_fusion", "stupid_backoff", "skipgram_pairs",
-        "dp_counts", "holt_linear", "rendezvous_assign",
-        "hll_exact", "bloom_semijoin", "sssp_weighted", "widest_path",
-        "walk_counts", "ppr_seeded", "decile_census", "nb_classify",
-        "gini_stump", "edit1_join", "zorder_cells", "interval_overlap",
-        "cohort_retention", "recency_score",
-        "gini_concentration", "theil_index", "hhi_concentration",
-        "mis_luby", "greedy_matching", "hyperball_reach",
-        "stream_join_60s", "sax_daily", "theta_join_cdf", "kmv_intersect",
-        "k_truss", "sprt_test", "auc_nb", "calibration_bins", "ndcg_bm25",
-        "seed_select", "gram_matrix", "hill_tail", "markov_entropy",
-        "dedup_containment", "semdedup", "kn_bigram", "dedup_chain",
-        "feature_hash", "seq_triples", "dtw_distance", "ols_multi",
-        "modularity_score", "jenks_breaks", "lexicon_scan", "self_bleu",
-        "kendall_tau", "cohen_kappa", "yule_k", "spearman_rho",
-        "mann_kendall", "assortativity", "rich_club", "ams_f2",
-        "anova_f", "kruskal_wallis", "dft_power", "brier_score",
-        "hilbert_layout", "dbscan_clusters", "levene_test", "chi2_terms", "avg_precision",
-        "best_f1", "corr_matrix", "runs_test", "perm_entropy", "quantile_map",
-        "durbin_watson", "cochran_armitage",
-        "full_outer_join", "assoc_rules", "matrix_profile", "mutual_knn",
-        "haar_energy", "burst_detect", "cluster_medoids", "silhouette_score",
-        "textrank_terms", "friedman_test", "page_trend", "tukey_q",
-        "mood_median", "mcnemar_test", "cox_stuart", "jonckheere_trend",
-        "bartlett_test", "wilcoxon_signed", "pettitt_test", "ljung_box",
-        "cramer_vonmises", "hoeffding_d", "cochran_q", "hodges_lehmann",
-        "mood_scale", "hurst_rs", "sample_entropy", "cronbach_alpha",
-        "ldiv_audit", "chao1_richness", "seasonal_decompose",
-        "gumbel_moments", "moran_i", "logrank_test", "forecast_eval",
-        "xcorr_daily", "effective_dim", "mmd_embeddings",
-        "cuped_adjust", "mantel_haenszel", "fleiss_kappa",
-        "good_turing", "heaps_law", "kendall_w", "ansari_bradley",
-        "turn_latency", "response_ratio", "conv_truncate",
-        "promo_revenue", "returned_revenue", "daily_churn", "temperature_mix",
-        "extract_agreement", "readability", "turn_dedup",
-        "gopher_repetition", "turn_echo", "tool_bigrams",
-        "ngram_novelty", "dedup_keep_best",
-    ]
+    queries = registry.queries()
+    names = list(QUERY_NAMES)
     # untimed warm-up (VERDICT r3 #6): the first timed query otherwise
     # absorbs worker-pool spawn + per-worker module import for the
     # query path (the flagship warm-up covers only the extract workers;
     # r3's pricing_summary "regression" was exactly this absorption)
-    warm = R.QUERIES["pricing_summary"](sf_dir)
+    warm = queries["pricing_summary"](sf_dir)
     if hasattr(warm, "count"):
         warm.count()
     del warm
@@ -177,7 +183,7 @@ def _run_queries(sf_dir: str) -> tuple[dict[str, float], dict, dict]:
     G.drain()  # discard warm-up events
     for name in names:
         t0 = time.perf_counter()
-        res = R.QUERIES[name](sf_dir)
+        res = queries[name](sf_dir)
         # consume: aggregates are tiny; count() drives full execution —
         # except after row-preserving ops (random_shuffle) where Ray
         # answers count() from metadata; materialize those first
@@ -214,7 +220,7 @@ def _run_queries(sf_dir: str) -> tuple[dict[str, float], dict, dict]:
     retries: dict[str, dict] = {}
     for name in [n for n, v in out.items() if v > retry_floor]:
         t0 = time.perf_counter()
-        res = R.QUERIES[name](sf_dir)
+        res = queries[name](sf_dir)
         if hasattr(res, "count"):
             if name == "shuffle_train":
                 res = res.materialize()
@@ -256,14 +262,16 @@ def isolated_mode(names: list[str]) -> None:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    from weakscraper_ray.pipelines import relational as R
+    from weakscraper_ray.pipelines import registry
 
-    warm = R.QUERIES["pricing_summary"](SF_DIR)
+    queries = registry.queries()
+
+    warm = queries["pricing_summary"](SF_DIR)
     _consume(warm, "pricing_summary")
     out = {}
     for name in names:
         t0 = time.perf_counter()
-        _consume(R.QUERIES[name](SF_DIR), name)
+        _consume(queries[name](SF_DIR), name)
         out[name] = round(time.perf_counter() - t0, 3)
     print(json.dumps(out))
     ray.shutdown()

@@ -123,7 +123,7 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
-    from weakscraper_ray.pipelines import relational as R
+    from weakscraper_ray.pipelines import registry
     from weakscraper_ray.pipelines import run_flagship
     from weakscraper_ray.transcripts import ensure_generated
 
@@ -162,7 +162,7 @@ def main() -> None:
         out["scales"][tag] = {"n_docs": n_docs}
         for name in QUERIES:
             t0 = time.perf_counter()
-            res = R.QUERIES[name](sf_dir)
+            res = registry.queries()[name](sf_dir)
             if hasattr(res, "count"):
                 res.count()
             dt = time.perf_counter() - t0

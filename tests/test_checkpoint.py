@@ -9,12 +9,15 @@ import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
+from weakscraper_ray.pipelines.relational import DRIVER_SF_DIR
 from weakscraper_ray.sources import (
     committed_partitions,
     metrics_rollup,
     write_partitioned,
 )
 from weakscraper_ray.transcripts import ensure_generated
+
+ORDERS = os.path.join(DRIVER_SF_DIR, "orders.parquet")
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +98,37 @@ def test_manifest_contents(extracted, tmp_path):
     assert "spans" in tbl.column_names
     import pyarrow as pa
     assert pa.types.is_list(tbl.schema.field("spans").type)
+
+
+def test_cli_checksum_ignores_partitioning(tmp_path):
+    """``python -m weakscraper_ray checksum`` prints the same JSON for
+    two copies of the same rows: one file, and three shuffled files."""
+    import subprocess
+    import sys
+
+    t = pq.read_table(ORDERS)
+    one, three = tmp_path / "one", tmp_path / "three"
+    one.mkdir()
+    three.mkdir()
+    pq.write_table(t, one / "part-0.parquet")
+    shuffled = t.take(list(reversed(range(t.num_rows))))
+    n = shuffled.num_rows
+    for i in range(3):
+        lo, hi = i * n // 3, (i + 1) * n // 3
+        pq.write_table(shuffled.slice(lo, hi - lo), three / f"part-{i}.parquet",
+                       row_group_size=97)
+
+    def _checksum(d) -> dict:
+        r = subprocess.run(
+            [sys.executable, "-m", "weakscraper_ray", "checksum",
+             "--input", str(d), "--columns", "o_orderkey,o_custkey,o_totalprice",
+             "--num-cpus", "2"],
+            capture_output=True, text=True, timeout=300,
+            cwd=os.path.dirname(os.path.dirname(__file__)),
+        )
+        assert r.returncode == 0, r.stderr[-2000:]
+        return json.loads(r.stdout.strip().splitlines()[-1])
+
+    a, b = _checksum(one), _checksum(three)
+    assert a == b
+    assert a["n_rows"] == t.num_rows

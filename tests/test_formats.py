@@ -95,6 +95,36 @@ def test_csv_source_types_tool_in_every_shard(tmp_path, ray_session):
     assert first.column("tool").to_pylist() == [""]
 
 
+@pytest.mark.parametrize("layout", ["dir", "file"])
+def test_unsharded_source_blocks_carry_schema(layout, tmp_path, ray_session):
+    """A directory of ``*.orc`` files not named ``part-*``, or a single
+    file, reads as one block per file: no block is schema-less, and
+    the rows equal the parquet read of the same files."""
+    import ray
+
+    from weakscraper_ray.pipelines.extraction import read_transcripts
+
+    src = ensure_generated("tiny")
+    parts = sorted(glob.glob(os.path.join(src, "part-*.parquet")))[:2]
+    for i, part in enumerate(parts):
+        FORMATS["orc"].write(pq.read_table(part), str(tmp_path / f"shard{i}.orc"))
+    if layout == "file":
+        parts = parts[:1]
+        path = str(tmp_path / "shard0.orc")
+    else:
+        path = str(tmp_path)
+
+    want = read_transcripts(src).schema().names
+    blocks = ray.get(read_transcripts(path, fmt="orc").to_arrow_refs())
+    for b in blocks:
+        assert b.schema.names == want
+    got = pa.concat_tables(blocks).to_pandas().sort_values(KEY)
+    ref = pq.read_table(parts, columns=want).to_pandas().sort_values(KEY)
+    pd.testing.assert_frame_equal(
+        got.reset_index(drop=True), ref.reset_index(drop=True)
+    )
+
+
 # --------------------------------------------------------------- sink
 
 _READ_BACK = {

@@ -362,10 +362,10 @@ def test_approx_quantiles_query_matches_exact_within_bound(ray_session):
     import duckdb
 
     from weakscraper_ray.functions.sketch import QH_REL_ERR
-    from weakscraper_ray.pipelines import relational
+    from weakscraper_ray.pipelines import analytics
 
     sf = "/root/testdata/sf0.01"
-    df = relational.QUERIES["approx_quantiles_value"](sf).to_pandas()
+    df = analytics.QUERIES["approx_quantiles_value"](sf).to_pandas()
     exact = {
         r[0]: r[1:]
         for r in duckdb.connect().execute(
@@ -514,13 +514,14 @@ def test_pack_conversations_order_and_counts(ray_session):
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from weakscraper_ray.pipelines.relational import QUERIES, _size_for
+    from weakscraper_ray.pipelines.curation import q_pack_conversations
+    from weakscraper_ray.pipelines.relational import _size_for, q_conv_stats
     from weakscraper_ray.transcripts import ensure_generated
 
     sf = "/root/testdata/sf0.01"
-    df = QUERIES["pack_conversations"](sf).to_pandas()
+    df = q_pack_conversations(sf).to_pandas()
     assert (df.role_seq.str.split(" ").str.len() == df.n_turns).all()
-    cs = QUERIES["conv_stats"](sf).to_pandas()
+    cs = q_conv_stats(sf).to_pandas()
     merged = df.merge(cs[["conv_id", "n_turns"]], on="conv_id", suffixes=("", "_cs"))
     assert len(merged) == len(df)
     assert (merged.n_turns == merged.n_turns_cs).all()
@@ -649,7 +650,7 @@ def test_embedding_dim_stats_matches_duckdb(ray_session):
     (integer e6 columns) at sf0.001."""
     import duckdb
 
-    from weakscraper_ray.pipelines import relational as R
+    from weakscraper_ray.pipelines import embedding_ops as R
 
     sf = "/root/testdata/sf0.001"
     mine = (
@@ -704,7 +705,7 @@ def test_inverted_index_cap_and_exact_df(ray_session):
     DuckDB twin exactly."""
     import duckdb
 
-    from weakscraper_ray.pipelines import relational as R
+    from weakscraper_ray.pipelines import indexing as R
     from weakscraper_ray.pipelines.indexing import _POSTING_CAP
 
     sf = "/root/testdata/sf0.001"
@@ -737,7 +738,7 @@ def test_dedup_edit_blocked_pairs(ray_session):
     matches the DuckDB levenshtein twin exactly at sf0.001."""
     import duckdb
 
-    from weakscraper_ray.pipelines import relational as R
+    from weakscraper_ray.pipelines import indexing as R
 
     sf = "/root/testdata/sf0.001"
     mine = (
@@ -768,7 +769,7 @@ def test_bm25_score_matches_duckdb(ray_session):
     fixed dl (spot invariant)."""
     import duckdb
 
-    from weakscraper_ray.pipelines import relational as R
+    from weakscraper_ray.pipelines import indexing as R
 
     sf = "/root/testdata/sf0.001"
     mine = (
@@ -800,7 +801,7 @@ def test_pack_budget_prefix_sum_and_oracle(ray_session):
     import duckdb
     import numpy as np
 
-    from weakscraper_ray.pipelines import relational as R
+    from weakscraper_ray.pipelines import curation as R
     from weakscraper_ray.pipelines.curation import _PACK_BUDGET
 
     sf = "/root/testdata/sf0.001"
@@ -834,7 +835,7 @@ def test_dup_ngram_fraction_matches_duckdb(ray_session):
     positive dup count."""
     import duckdb
 
-    from weakscraper_ray.pipelines import relational as R
+    from weakscraper_ray.pipelines import indexing as R
 
     sf = "/root/testdata/sf0.001"
     mine = (
@@ -865,7 +866,7 @@ def test_unigram_logprob_matches_duckdb(ray_session):
     import duckdb
     import numpy as np
 
-    from weakscraper_ray.pipelines import relational as R
+    from weakscraper_ray.pipelines import curation as R
 
     sf = "/root/testdata/sf0.001"
     mine = (
@@ -896,7 +897,7 @@ def test_context_windows_matches_window_oracle(ray_session):
     truncation."""
     import duckdb
 
-    from weakscraper_ray.pipelines import relational as R
+    from weakscraper_ray.pipelines import curation as R
 
     sf = "/root/testdata/sf0.001"
     key = ["conv_id", "turn_idx"]
@@ -910,7 +911,7 @@ def test_context_windows_matches_window_oracle(ray_session):
     # first turn of each conv has no separator from preceding context
     firsts = mine.groupby("conv_id").head(1)
     assert (~firsts["ctx"].str.contains(r" \| ", regex=True)).all()
-    sql = R.build_oracle_sql(sf)["context_windows"]
+    sql = R.dynamic_oracle_sql(sf)["context_windows"]
     orc = (
         duckdb.connect().execute(sql).df().sort_values(key).reset_index(drop=True)
     )
@@ -923,7 +924,7 @@ def test_ks_drift_matches_duckdb(ray_session):
     lies in [0, 1e6]."""
     import duckdb
 
-    from weakscraper_ray.pipelines import relational as R
+    from weakscraper_ray.pipelines import analytics as R
 
     sf = "/root/testdata/sf0.001"
     mine = R.QUERIES["ks_drift"](sf).to_pandas()
@@ -949,11 +950,10 @@ def test_pagerank_matches_single_threaded_reference(ray_session):
     import pyarrow.parquet as pq
 
     from weakscraper_ray.pipelines import graph as G
-    from weakscraper_ray.pipelines import relational as R
 
     sf = "/root/testdata/sf0.001"
     mine = (
-        R.QUERIES["pagerank"](sf)
+        G.QUERIES["pagerank"](sf)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

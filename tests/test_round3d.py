@@ -11,11 +11,11 @@ import pandas as pd
 import pyarrow as pa
 
 from weakscraper_ray.pipelines.series import (
-    _CHECKSUM_MOD,
     _gram_partial,
     _iv_sweep_shard,
     _ntile_group,
 )
+from weakscraper_ray.sources.checkpoint import _CHECKSUM_MOD
 
 
 def _sweep(rows):
@@ -343,7 +343,7 @@ def test_path_group_order():
 def test_checksum_dataset_order_independent(ray_session):
     import ray.data
 
-    from weakscraper_ray.pipelines.series import checksum_dataset
+    from weakscraper_ray.sources.checkpoint import checksum_dataset
 
     path = "/root/testdata/sf0.001/orders.parquet"
     cols = ["o_orderkey", "o_custkey"]

@@ -23,34 +23,20 @@ from weakscraper_ray.pipelines.ranges import _morton_np, _Z_BITS
 
 
 def test_no_query_name_collisions_across_modules():
-    """every pipeline module self-registers into relational.QUERIES
-    via dict.update — a duplicate name silently SHADOWS an earlier
+    """``registry.queries()`` merges the families with ``dict.update``,
+    so a duplicate name would silently SHADOW an earlier family's
     operator (bit continuation #13: stratified_sample/ntile_assign).
     Assert global uniqueness so the next collision fails loudly."""
-    import importlib
-    import pkgutil
-
-    import weakscraper_ray.pipelines as pk
-    from weakscraper_ray.pipelines import relational
+    from weakscraper_ray.pipelines import registry
 
     seen: dict[str, str] = {}
-    for m in pkgutil.iter_modules(pk.__path__):
-        mod = importlib.import_module(f"weakscraper_ray.pipelines.{m.name}")
-        if mod is relational or not hasattr(mod, "QUERIES"):
-            continue
-        for k in mod.QUERIES:
+    for fam in registry.FAMILIES:
+        for k in fam.QUERIES:
             assert k not in seen, (
-                f"query '{k}' defined in both {seen[k]} and {m.name}"
+                f"query '{k}' defined in both {seen[k]} and {fam.__name__}"
             )
-            seen[k] = m.name
-    # none may shadow relational's own base entries either
-    base = {
-        k
-        for k, v in relational.QUERIES.items()
-        if getattr(v, "__module__", "").endswith(".relational")
-    }
-    dup = base & set(seen)
-    assert not dup, f"module queries shadow relational base entries: {dup}"
+            seen[k] = fam.__name__
+    assert set(seen) == set(registry.queries())
 
 
 def test_paths_constants_match_graph():

@@ -1,9 +1,7 @@
 """Round-5 additions (VERDICT r4 worklist): ALWAYS-RUN real-decode
 branches — a dependency-free Netpbm image decoder and a pure-Python
 uncompressed-PDF text extractor exercised against hand-authored golden
-fixtures in every CI run (r4 #2: the PIL/pypdf adapters exist but their
-smokes skip where the libraries are absent, so no test executed a real
-decode; these fixtures close that with zero new dependencies)."""
+fixtures in every CI run, with zero optional dependencies."""
 
 import numpy as np
 import pyarrow as pa

@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
         import ray.data
 
         with _ray_session(args.num_cpus):
-            from .pipelines.series import checksum_dataset
+            from .sources.checkpoint import checksum_dataset
 
             cols = [c.strip() for c in args.columns.split(",") if c.strip()]
             ds = ray.data.read_parquet(args.input, columns=cols)
@@ -94,15 +94,16 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
     if args.cmd == "query":
-        from .pipelines import relational as R
+        from .pipelines import registry
 
+        qs = registry.queries()
         if not args.name:
-            oracled = set(R.build_oracle_sql())
-            for n in sorted(R.QUERIES):
+            oracled = set(registry.oracle_sql())
+            for n in sorted(qs):
                 print(f"{n:28s} {'oracle' if n in oracled else 'rows-only'}")
             return 0
         with _ray_session(args.num_cpus):
-            res = R.QUERIES[args.name](args.sf_dir)
+            res = qs[args.name](args.sf_dir)
             df = res.to_pandas() if hasattr(res, "to_pandas") else res
             print(df.head(args.limit).to_string(index=False))
             print(f"[{len(df)} rows]")

@@ -67,57 +67,19 @@ class TextEncoder:
     """Actor-pool stage: (doc_id, text) → (vec_id, embedding).
 
     ``vec_id`` (= doc_id) is the ANN family's key column, so encoder
-    output feeds every knn/near-dup operator unchanged.
-
-    ``backend`` selects the encoder (VERDICT r3 #8):
-
-    - ``"hash"`` (default): the deterministic feature-hash +
-      random-projection stub — the test/oracle path;
-    - ``"sentence-transformers"``: a real model, loaded ONCE per actor
-      in ``__init__`` (``model_name`` picks the checkpoint); the
-      output contract (unit-norm ``fixed_size_list<float32, dim>``)
-      is identical, so every downstream ANN stage is unchanged.
-      Import-gated: raises a clear ImportError where the library is
-      not installed (this container).
+    output feeds every knn/near-dup operator unchanged. The encoder is
+    the deterministic feature-hash + random-projection stub; a real
+    model replaces ``_load_model``/``encode_text`` behind the same
+    unit-norm ``fixed_size_list<float32, dim>`` output contract.
     """
 
-    def __init__(self, dim: int = 64, seed: int = 42, column: str = "text",
-                 backend: str = "hash",
-                 model_name: str = "all-MiniLM-L6-v2"):
+    def __init__(self, dim: int = 64, seed: int = 42, column: str = "text"):
         self.column = column
-        self.backend = backend
-        if backend == "hash":
-            self.dim = dim
-            self.model = _load_model(dim, seed)  # once per actor
-        elif backend == "sentence-transformers":
-            try:
-                from sentence_transformers import SentenceTransformer
-            except ImportError as e:
-                raise ImportError(
-                    "backend='sentence-transformers' needs the "
-                    "sentence-transformers package (pip install it on "
-                    "the production cluster); use backend='hash' for "
-                    "the deterministic test path"
-                ) from e
-            self.model = SentenceTransformer(model_name)  # once per actor
-            self.dim = int(self.model.get_sentence_embedding_dimension())
-        else:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected 'hash' or "
-                "'sentence-transformers'"
-            )
-
-    def _encode(self, texts: list) -> np.ndarray:
-        if self.backend == "hash":
-            return encode_text(texts, self.model)
-        emb = self.model.encode(
-            [t or "" for t in texts], convert_to_numpy=True,
-            normalize_embeddings=True,
-        )
-        return np.ascontiguousarray(emb, dtype=np.float32)
+        self.dim = dim
+        self.model = _load_model(dim, seed)  # once per actor
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        emb = self._encode(batch.column(self.column).to_pylist())
+        emb = encode_text(batch.column(self.column).to_pylist(), self.model)
         return pa.table(
             {
                 "vec_id": batch.column("doc_id").combine_chunks().cast(pa.int64()),

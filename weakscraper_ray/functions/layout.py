@@ -7,7 +7,7 @@ out with page number + bbox + reading-order index, small-batch
 actor-pool stage shape, Arrow struct metadata.
 
 On a production cluster, replace :func:`_decode_pdf_stub` with a real
-parser (e.g. pdfminer/pypdf + a layout model) — the stage contract
+parser (e.g. a PDF library + a layout model) — the stage contract
 (schema in / schema out) does not change.
 """
 
@@ -62,25 +62,6 @@ def _decode_pdf_stub(payload: bytes, n_pages: int):
             yield page, b, kind, " ".join(words), (72.0, y - 40.0, 540.0, y)
 
 
-def _decode_pdf_pypdf(payload: bytes, n_pages: int):
-    """REAL PDF text extraction via pypdf (optional backend — VERDICT
-    r3 #8): one paragraph block per page with a full-page bbox (pypdf
-    exposes text, not glyph geometry; a layout model slots in the same
-    way).  Import-gated at construction."""
-    import io
-
-    from pypdf import PdfReader  # noqa: PLC0415 — optional dependency
-
-    reader = PdfReader(io.BytesIO(payload))
-    for page_idx, page in enumerate(reader.pages):
-        text = (page.extract_text() or "").strip()
-        box = page.mediabox
-        yield page_idx, 0, "paragraph", text, (
-            float(box.left), float(box.bottom),
-            float(box.right), float(box.top),
-        )
-
-
 def _pdf_unescape(raw: bytes) -> str:
     """PDF literal-string unescape: \\( \\) \\\\ \\n \\r \\t and
     3-digit octal codes (ISO 32000-1 §7.3.4.2 subset — enough for the
@@ -118,13 +99,13 @@ def _decode_pdf_mini(payload: bytes, n_pages: int):
     and concatenates their ``(…) Tj`` / ``[…] TJ`` show-text operands
     (literal-string escapes handled by :func:`_pdf_unescape`). One
     paragraph block per content stream, bbox from the file's first
-    ``/MediaBox`` (US-letter fallback) — the same block granularity as
-    the pypdf adapter. Raises on payloads with no PDF header or with
-    Flate-compressed streams it cannot read, so a caller routing real
-    compressed PDFs here fails fast instead of extracting nothing.
-    This keeps a REAL extraction branch (stream scan → text-object
-    scan → operand unescape) executable in CI where pypdf is absent;
-    the stub remains the oracle path."""
+    ``/MediaBox`` (US-letter fallback). Raises on payloads with no PDF
+    header or with Flate-compressed streams it cannot read, so a caller
+    routing real compressed PDFs here fails fast instead of extracting
+    nothing.
+    A REAL extraction branch (stream scan → text-object scan → operand
+    unescape) with no PDF library; the stub remains the oracle
+    path."""
     import re
 
     if not payload.startswith(b"%PDF"):
@@ -137,8 +118,8 @@ def _decode_pdf_mini(payload: bytes, n_pages: int):
     if b"/FlateDecode" in payload:
         raise ValueError(
             "compressed content streams — this dependency-free decoder "
-            "reads uncompressed text PDFs only (use decoder='pypdf' on "
-            "a production cluster)"
+            "reads uncompressed text PDFs only (pass a callable "
+            "decoder for compressed PDFs)"
         )
     streams = re.findall(
         rb"stream\r?\n(.*?)\r?\nendstream", payload, flags=re.DOTALL
@@ -157,8 +138,8 @@ def _pdf_mini_blocks(streams: list[bytes], box: tuple):
 
     # page index = content-stream ordinal: a stream with no text
     # (image-only page) still consumes its index, so later pages keep
-    # their true positions (code-review r5: skipping text-less streams
-    # shifted every subsequent page's index vs the pypdf adapter)
+    # their true positions (skipping text-less streams would shift
+    # every subsequent page's index)
     for page_idx, body in enumerate(streams):
         texts: list[str] = []
         for bt in re.findall(rb"BT(.*?)ET", body, flags=re.DOTALL):
@@ -183,20 +164,18 @@ def _pdf_mini_blocks(streams: list[bytes], box: tuple):
         yield page_idx, 0, "paragraph", " ".join(t for t in texts if t), box
 
 
-#: decoder registry — stub = deterministic test/oracle path; "pypdf"
-#: = real-library adapter; "minipdf" = dependency-free REAL extractor
-#: for uncompressed text PDFs (keeps the real branch executable in CI)
+#: decoder registry — stub = deterministic test/oracle path;
+#: "minipdf" = dependency-free REAL extractor for uncompressed text
+#: PDFs; any callable with the same signature plugs in a PDF library
 PDF_DECODERS = {
     "stub": _decode_pdf_stub,
-    "pypdf": _decode_pdf_pypdf,
     "minipdf": _decode_pdf_mini,
 }
 
 
 def resolve_pdf_decoder(decoder):
     """Constructor-time resolution (the multimodal.resolve_decoder
-    contract): callable passes through; "pypdf" probes its import once
-    so a missing library fails fast with a clear message."""
+    contract): callable passes through; an unknown name fails fast."""
     if callable(decoder):
         return decoder
     try:
@@ -206,15 +185,6 @@ def resolve_pdf_decoder(decoder):
             f"unknown pdf decoder {decoder!r}; registered: "
             f"{sorted(PDF_DECODERS)}"
         ) from None
-    if decoder == "pypdf":
-        try:
-            import pypdf  # noqa: F401
-        except ImportError as e:
-            raise ImportError(
-                "decoder='pypdf' needs pypdf (pip install pypdf on the "
-                "production cluster); use decoder='stub' for the "
-                "deterministic test path"
-            ) from e
     return fn
 
 

@@ -55,37 +55,21 @@ def make_media_table(n: int, seed: int = 42) -> pa.Table:
 
 
 def _decode_stub(payload: bytes, meta: dict) -> np.ndarray:
-    """STUB: stands in for a real image/audio decoder (PIL/ffmpeg are
-    not installed in this container). Deterministic in the payload:
-    derives a fake pixel/sample array from a blake2 digest. Replace
-    with the real decoder on a production cluster."""
+    """STUB: stands in for a real image/audio decoder. Deterministic in
+    the payload: derives a fake pixel/sample array from a blake2
+    digest. Replace with the real decoder on a production cluster."""
     digest = hashlib.blake2b(payload, digest_size=32).digest()
     arr = np.frombuffer(digest, dtype=np.uint8).astype(np.float32)
     return arr / 255.0
-
-
-def _decode_pil(payload: bytes, meta: dict) -> np.ndarray:
-    """REAL image decode via PIL (optional backend — VERDICT r3 #8):
-    open → grayscale → 8×8 resize → unit-scaled float32 samples, the
-    classic dHash front half.  Import-gated: constructing a stage with
-    ``decoder="pil"`` raises a clear ImportError where Pillow is not
-    installed (this container), and drops straight in where it is."""
-    import io
-
-    from PIL import Image  # noqa: PLC0415 — optional dependency
-
-    img = Image.open(io.BytesIO(payload)).convert("L").resize((8, 8))
-    return np.asarray(img, dtype=np.float32).ravel() / 255.0
 
 
 def _decode_ppm(payload: bytes, meta: dict) -> np.ndarray:
     """REAL image decode, dependency-free (VERDICT r4 #2): parses
     binary PPM (P6) / PGM (P5) — the uncompressed Netpbm formats —
     with numpy only, then grayscales and block-averages to 8×8 and
-    unit-scales, matching the ``_decode_pil`` output contract (64
-    float32 samples in [0,1]). This keeps a REAL decode branch
-    (header parse → raster read → resize) executable in CI where
-    Pillow is absent; the stub remains the oracle path."""
+    unit-scales: the decoder output contract (64 float32 samples in
+    [0,1]). A REAL decode branch (header parse → raster read → resize)
+    with no imaging library; the stub remains the oracle path."""
     # Netpbm header: magic, width, height, maxval — tokens separated
     # by whitespace, '#' comments run to end-of-line, raster follows
     # the single whitespace byte after maxval.
@@ -138,17 +122,16 @@ def _decode_ppm(payload: bytes, meta: dict) -> np.ndarray:
 
 
 #: decoder registry — the stub is the deterministic test/oracle path;
-#: "pil" is the real-image adapter; "ppm" is the dependency-free REAL
-#: decode (uncompressed Netpbm) that keeps the real-branch logic
-#: executable in CI without Pillow (selected per stage constructor)
-DECODERS = {"stub": _decode_stub, "pil": _decode_pil, "ppm": _decode_ppm}
+#: "ppm" is the dependency-free REAL decode (uncompressed Netpbm);
+#: any callable with the same signature plugs in a production decoder
+#: (selected per stage constructor)
+DECODERS = {"stub": _decode_stub, "ppm": _decode_ppm}
 
 
 def resolve_decoder(decoder):
     """Constructor-time decoder resolution: a callable passes through;
-    a registry name is looked up and its optional import is probed ONCE
-    (per actor, in ``__init__``) so a missing library fails fast with a
-    clear message instead of per batch."""
+    a registry name is looked up ONCE (per actor, in ``__init__``), so
+    an unknown name fails fast instead of per batch."""
     if callable(decoder):
         return decoder
     try:
@@ -157,15 +140,6 @@ def resolve_decoder(decoder):
         raise ValueError(
             f"unknown decoder {decoder!r}; registered: {sorted(DECODERS)}"
         ) from None
-    if decoder == "pil":
-        try:
-            import PIL  # noqa: F401
-        except ImportError as e:
-            raise ImportError(
-                "decoder='pil' needs Pillow (pip install pillow on the "
-                "production cluster); use decoder='stub' for the "
-                "deterministic test path"
-            ) from e
     return fn
 
 
@@ -195,7 +169,7 @@ def phash63(payload: bytes, meta: dict, decoder="stub") -> int:
     pixel[i+1] over a 64-sample tiling of the decoded pixel array
     (63 bits so the packed value stays a non-negative int64 on both
     sides of the oracle).  ``decoder`` selects the backend (default
-    stub keeps the oracle twins byte-stable); with ``decoder="pil"``
+    stub keeps the oracle twins byte-stable); with ``decoder="ppm"``
     this is the classic difference hash (resize → 8×8 gradient)."""
     raw = resolve_decoder(decoder)(payload, meta)
     reps = int(np.ceil(64 / raw.shape[0]))

@@ -39,40 +39,11 @@ import pyarrow.compute as pc
 import ray
 
 from .relational import _i64_away, _i64_away_np, _read
-
-# RE2 on both sides: pyarrow's split_pattern_regex and DuckDB's
-# regexp_* are both RE2, so `\s` / `\S` classes agree byte-for-byte
-# (Python's re is NOT used for tokenization here for that reason).
-_WS = r"\s+"
-_TRIM = r"^\s+|\s+$"
-
+from .tokenizer import _TRIM, _WS, _bigram_partial, _term_partial, _topk_terms
 
 # =====================================================================
 # Vocabulary statistics: top-k terms / bigrams over documents.text
 # =====================================================================
-
-def _term_partial(batch: pa.Table) -> pa.Table:
-    """Per-batch partial term counts: the shuffle payload is the batch
-    *vocabulary* (term, n), not the token stream."""
-    toks = pc.split_pattern_regex(batch.column("text"), pattern=_WS)
-    flat = pc.drop_null(pc.list_flatten(toks))
-    flat = flat.filter(pc.not_equal(flat, ""))  # boundary empties from leading/trailing ws
-    vc = pc.value_counts(flat.combine_chunks() if isinstance(flat, pa.ChunkedArray) else flat)
-    return pa.table(
-        {"term": vc.field("values"), "n": pc.cast(vc.field("counts"), pa.int64())}
-    )
-
-
-def _topk_terms(ds, col: str, k: int):
-    from ray.data.aggregate import Sum
-
-    agg = ds.groupby(col).aggregate(Sum("n"))
-    agg = agg.map_batches(
-        lambda t: pa.table({col: t.column(col), "n": pc.cast(t.column("sum(n)"), pa.int64())}),
-        batch_format="pyarrow",
-    )
-    return agg.sort(["n", col], descending=[True, False]).limit(k)
-
 
 def q_word_topk(sf_dir: str):
     ds = _read(sf_dir, "documents", ["text"])
@@ -86,31 +57,6 @@ WITH toks AS (
 SELECT term, cast(count(*) AS BIGINT) AS n
 FROM toks GROUP BY term ORDER BY n DESC, term LIMIT 50
 """
-
-
-def _bigram_partial(batch: pa.Table) -> pa.Table:
-    """Consecutive-token pairs within each document, vectorized over
-    the flattened token array with list offsets masking doc
-    boundaries."""
-    txt = pc.replace_substring_regex(batch.column("text"), pattern=_TRIM, replacement="")
-    keep = pc.not_equal(txt, "")
-    txt = pc.drop_null(txt.filter(keep))
-    if len(txt) == 0:
-        return pa.table({"bigram": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
-    toks = pc.split_pattern_regex(txt, pattern=_WS)
-    la = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-    flat = la.flatten().to_pandas().to_numpy()  # object array of str, no empties after trim
-    offs = np.asarray(la.offsets)
-    if len(flat) < 2:
-        return pa.table({"bigram": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
-    left = pd.Series(flat[:-1])
-    right = pd.Series(flat[1:])
-    valid = np.ones(len(flat) - 1, dtype=bool)
-    valid[offs[1:-1] - 1] = False  # last token of each doc pairs with next doc: drop
-    vc = (left[valid] + " " + right[valid]).value_counts()
-    return pa.table(
-        {"bigram": pa.array(vc.index, pa.string()), "n": pa.array(vc.to_numpy(), pa.int64())}
-    )
 
 
 def q_bigram_topk(sf_dir: str):
@@ -1889,12 +1835,3 @@ ORACLE_SQL = {
 def dynamic_oracle_sql(sf_dir: str) -> dict[str, str]:
     """Twins that inspect the data (pivot column set)."""
     return {"pivot_events": sql_pivot(sf_dir)}
-
-
-# self-register into the driver-facing registries (see the note at the
-# import site in relational.py: this runs last so the import cycle is
-# safe whichever module a worker imports first)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

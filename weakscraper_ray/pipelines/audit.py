@@ -786,9 +786,3 @@ ORACLE_SQL = {
     "dp_counts": SQL_DP_COUNTS,
     "holt_linear": SQL_HOLT,
 }
-
-# self-register (same pattern as monitor.py / stats.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

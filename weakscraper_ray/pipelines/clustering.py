@@ -56,7 +56,6 @@ import pyarrow.parquet as pq
 import ray
 
 from ..functions.embed import fixed_list_to_numpy
-from . import relational as _rel
 from .relational import _i64_away_np, _p, _read
 
 _K = 8          #: cluster-count floor (IVF-coarse-quantizer scale)
@@ -669,8 +668,8 @@ def q_pq_topk(sf_dir: str):
 
 def dynamic_oracle_sql(sf_dir: str) -> dict[str, str]:
     """Expected-twin oracle (independent single-threaded Lloyd's /
-    greedy traversal in weakscraper_ray.oracles; called from
-    relational.build_oracle_sql)."""
+    greedy traversal in weakscraper_ray.oracles; merged by
+    registry.oracle_sql)."""
     from .. import oracles
 
     out = _sql_cluster_quality(sf_dir)
@@ -1080,6 +1079,3 @@ ORACLE_SQL: dict[str, str] = {
     "dbscan_clusters": SQL_DBSCAN,
     "mutual_knn": SQL_MUTUAL_KNN,
 }
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -1404,7 +1404,7 @@ def q_textrank_terms(sf_dir: str):
 
 def dynamic_oracle_sql(sf_dir: str) -> dict[str, str]:
     """Twins whose SQL embeds a generated-data path (same pattern as
-    analytics.dynamic_oracle_sql; called from build_oracle_sql)."""
+    analytics.dynamic_oracle_sql; merged by registry.oracle_sql)."""
     from ..transcripts import ensure_generated
     from .relational import _size_for
 
@@ -2527,6 +2527,3 @@ ORACLE_SQL = {
     "gopher_repetition": SQL_GOPHER_REPETITION,
     "ngram_novelty": SQL_NGRAM_NOVELTY,
 }
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

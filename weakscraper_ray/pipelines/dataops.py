@@ -1697,10 +1697,3 @@ ORACLE_SQL = {
     "compaction_plan": SQL_COMPACTION,
     "right_join": SQL_RIGHT_JOIN,
 }
-
-# self-register into the driver-facing registries (same pattern and
-# import-cycle note as analytics.py / series.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -35,7 +35,6 @@ import pyarrow as pa
 import ray
 
 from ..functions.embed import fixed_list_to_numpy
-from . import relational as _rel
 from .relational import _i64_away_np, _read
 
 _DIM = 64
@@ -379,6 +378,3 @@ ORACLE_SQL = {
     "embedding_rp": SQL_EMBEDDING_RP,
     "label_knn_agreement": SQL_LABEL_KNN,
 }
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -187,9 +187,3 @@ ORACLE_SQL = {
     "cohort_retention": SQL_COHORT,
     "recency_score": SQL_RECENCY,
 }
-
-# self-register (same pattern as monitor.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -37,7 +37,8 @@ def read_transcripts(path: str, fmt: str = "parquet", with_route: bool = True,
 
     A directory is read as its ``part-*.<suffix>`` shards when it has
     any: a generated table directory also holds the ``.expected-*``
-    oracle twins, which are not data.
+    oracle twins, which are not data. A non-parquet directory without
+    such shards is read as its ``*.<suffix>`` files.
 
     Parquet is read by ``ray.data.read_parquet``. Every other format is
     read by ``read_binary_files`` (one file per row) and one
@@ -57,17 +58,15 @@ def read_transcripts(path: str, fmt: str = "parquet", with_route: bool = True,
     from ..sources.formats import format_of, to_row_schema
 
     suffix, read, _ = format_of(fmt)
-    if os.path.isdir(path):
-        shards = sorted(glob.glob(os.path.join(path, f"part-*.{suffix}")))
-        paths: list[str] | str = shards if shards else path
-    else:
-        paths = path
+    is_dir = os.path.isdir(path)
+    shards = sorted(glob.glob(os.path.join(path, f"part-*.{suffix}"))) if is_dir else []
     cols = list(TRANSCRIPT_COLUMNS)
     if with_route:
         cols.append("template_id")
     if fmt == "parquet":
         import pyarrow.dataset as pads
 
+        paths = shards or path
         schema_names = pads.dataset(paths).schema.names
         cols = [c for c in cols if c in schema_names]
         return ray.data.read_parquet(paths, columns=cols, include_paths=include_paths)
@@ -80,11 +79,15 @@ def read_transcripts(path: str, fmt: str = "parquet", with_route: bool = True,
             )
         return t
 
-    # one block per file: left to itself Ray pads the read to more
-    # blocks than files, and each empty one decodes to a schema-less block
+    # one block per file, so the files are listed here: left to itself
+    # Ray pads the read to more blocks than files, and each empty one
+    # decodes to a schema-less block
+    if is_dir:
+        paths = shards or sorted(glob.glob(os.path.join(path, f"*.{suffix}")))
+    else:
+        paths = [path]
     return ray.data.read_binary_files(
-        paths, include_paths=include_paths, file_extensions=[suffix],
-        override_num_blocks=len(paths) if isinstance(paths, list) else None,
+        paths, include_paths=include_paths, override_num_blocks=len(paths),
     ).map_batches(_decode, batch_format="pyarrow", batch_size=1)
 
 

@@ -31,7 +31,6 @@ import numpy as np
 import pandas as pd  # noqa: F401
 import pyarrow as pa
 
-from . import relational as _rel
 from .relational import _read
 
 #: bucket count (2^8 keeps the per-batch dense matrix tiny; the
@@ -124,6 +123,3 @@ FROM f GROUP BY doc_id
 
 QUERIES = {"feature_hash": q_feature_hash}
 ORACLE_SQL = {"feature_hash": SQL_FEATURE_HASH}
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

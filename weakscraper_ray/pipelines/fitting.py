@@ -170,7 +170,7 @@ def q_llr_bigrams(sf_dir: str):
     the driver — no second pass over the corpus."""
     from ray.data.aggregate import Sum
 
-    from .analytics import _bigram_partial
+    from .tokenizer import _bigram_partial
 
     bi = (
         _read(sf_dir, "documents", ["text"])
@@ -271,9 +271,3 @@ ORACLE_SQL = {
     "isotonic_daily": SQL_ISOTONIC,
     "llr_bigrams": SQL_LLR,
 }
-
-# self-register (same pattern as monitor.py / audit.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

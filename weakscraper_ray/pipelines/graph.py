@@ -45,7 +45,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from . import relational as _rel
 from .relational import _read
 
 #: Knuth's multiplicative-hash constant (public; TAOCP vol. 3) — makes
@@ -1496,6 +1495,3 @@ ORACLE_SQL = {
     "jaccard_neighbors": _sql_jaccard_neighbors(),
     "clustering_coeff": _sql_clustering_coeff(),
 }
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

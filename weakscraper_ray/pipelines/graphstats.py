@@ -48,7 +48,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from . import relational as _rel
 from .relational import _read
 # NOTE: _ols_e6 must be imported LAZILY (inside functions): this
 # module is imported by relational's tail, so when a Ray worker
@@ -324,7 +323,3 @@ ORACLE_SQL = {
     "assortativity": SQL_ASSORTATIVITY,
     "rich_club": SQL_RICH_CLUB,
 }
-
-# self-register (same pattern and import-cycle note as analytics.py)
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

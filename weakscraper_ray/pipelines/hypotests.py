@@ -60,7 +60,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import relational as _rel
 from .relational import _i64_away_np, _read
 
 _US_PER_DAY = 86_400_000_000
@@ -1265,7 +1264,3 @@ ORACLE_SQL = {
     "page_trend": SQL_PAGE_TREND,
     "tukey_q": SQL_TUKEY_Q,
 }
-
-# self-register (same pattern and import-cycle note as analytics.py)
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

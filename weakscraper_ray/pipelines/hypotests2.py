@@ -65,7 +65,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import relational as _rel
 from .relational import _read
 from .hypotests import _FLAGS, _e6_signed, _flag_qty_census, _med2
 
@@ -903,7 +902,3 @@ ORACLE_SQL = {
     "pettitt_test": SQL_PETTITT,
     "ljung_box": SQL_LJUNG_BOX,
 }
-
-# self-register (same pattern and import-cycle note as analytics.py)
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -34,7 +34,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import relational as _rel
 from .relational import _i64_away_np, _read
 
 # =====================================================================
@@ -541,6 +540,3 @@ ORACLE_SQL = {
     "bm25_score": SQL_BM25,
     "dup_ngram_fraction": SQL_DUP_NGRAM,
 }
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

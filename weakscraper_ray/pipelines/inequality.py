@@ -232,9 +232,3 @@ ORACLE_SQL = {
     "theil_index": SQL_THEIL,
     "hhi_concentration": SQL_HHI,
 }
-
-# self-register (same pattern as monitor.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -763,9 +763,3 @@ ORACLE_SQL = {
     "logrank_test": SQL_LOGRANK,
     "emd_drift": SQL_EMD,
 }
-
-# self-register (same pattern as monitor.py / audit.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -58,7 +58,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import relational as _rel
 from .relational import _i64_away_np, _read
 
 # NOTE: _ols_e6 must be imported LAZILY (inside functions): this
@@ -668,7 +667,7 @@ def q_good_turing(sf_dir: str):
     ``(r, n_r, r_star_e6)``."""
     from ray.data.aggregate import Sum
 
-    from .analytics import _bigram_partial
+    from .tokenizer import _bigram_partial
 
     ds = _read(sf_dir, "documents", ["text"])
 
@@ -1081,7 +1080,3 @@ ORACLE_SQL = {
     "heaps_law": SQL_HEAPS_LAW,
     "kendall_w": SQL_KENDALL_W,
 }
-
-# self-register (same pattern and import-cycle note as analytics.py)
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -516,9 +516,3 @@ ORACLE_SQL = {
     "bloom_semijoin": SQL_BLOOM_SEMIJOIN,
     "kmv_intersect": SQL_KMV,
 }
-
-# self-register (same pattern as stats.py / monitor.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

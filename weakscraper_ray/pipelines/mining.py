@@ -1246,6 +1246,3 @@ ORACLE_SQL = {
     "source_overlap": SQL_SOURCE_OVERLAP,
     "event_funnel": SQL_EVENT_FUNNEL,
 }
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -44,12 +44,7 @@ import pyarrow.compute as pc
 import ray
 
 from .relational import _i64_away_np, _read
-
-#: whitespace tokenizer pattern — same literal as analytics._WS,
-#: duplicated because a module-level `from .analytics import ...`
-#: deadlocks worker unpickling (analytics is then mid-import via
-#: relational's tail; bit test_relational[argmax_events] in CI).
-_WS = r"\s+"
+from .tokenizer import _WS
 
 # ---------------------------------------------------------- NB traits
 
@@ -1100,9 +1095,3 @@ ORACLE_SQL = {
     "avg_precision": SQL_AVG_PRECISION,
     "best_f1": SQL_BEST_F1,
 }
-
-# self-register (same pattern as monitor.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -818,9 +818,3 @@ ORACLE_SQL = {
     "effective_dim": SQL_EFFECTIVE_DIM,
     "mmd_embeddings": SQL_MMD,
 }
-
-# self-register (same pattern as monitor.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

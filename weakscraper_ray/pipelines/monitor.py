@@ -2001,9 +2001,3 @@ ORACLE_SQL = {
     "decile_census": SQL_DECILE_CENSUS,
     "sax_daily": SQL_SAX,
 }
-
-# self-register (same pattern as stats.py / series.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

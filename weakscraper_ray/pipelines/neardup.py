@@ -557,7 +557,3 @@ def dynamic_oracle_sql(sf_dir: str) -> dict[str, str]:
         ),
         "dedup_chain": _sql_dedup_chain(sf_dir),
     }
-
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

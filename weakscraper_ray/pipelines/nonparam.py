@@ -53,7 +53,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import relational as _rel
 from .relational import _read
 from .hypotests import _e6_signed, _flag_qty_census
 
@@ -911,7 +910,3 @@ ORACLE_SQL = {
     "hurst_rs": SQL_HURST,
     "sample_entropy": SQL_SAMPLE_ENTROPY,
 }
-
-# self-register (same pattern and import-cycle note as analytics.py)
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -383,9 +383,3 @@ ORACLE_SQL = {
     "walk_counts": SQL_WALK_COUNTS,
     "ppr_seeded": _sql_ppr(),
 }
-
-# self-register (same pattern as graph.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -1169,9 +1169,3 @@ ORACLE_SQL = {
     "kendall_tau": SQL_KENDALL,
     "cohen_kappa": _sql_cohen_kappa(),
 }
-
-# self-register (same pattern and import-cycle note as analytics.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

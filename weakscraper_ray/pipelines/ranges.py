@@ -506,9 +506,3 @@ ORACLE_SQL = {
     "stream_join_60s": SQL_STREAM_JOIN,
     "theta_join_cdf": SQL_THETA_JOIN,
 }
-
-# self-register (same pattern as monitor.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

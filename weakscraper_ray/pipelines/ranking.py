@@ -32,6 +32,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from .indexing import SQL_BM25, q_bm25_score
 from .relational import _read
 
 _NDCG_K = 10
@@ -59,10 +60,9 @@ def q_ndcg_bm25(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from .curation import _explode_tokens
-    from .relational import QUERIES as _Q
 
     top = (
-        _Q["bm25_score"](sf_dir)
+        q_bm25_score(sf_dir)
         .sort(["bm25_e6", "doc_id"], descending=[True, False])
         .limit(_NDCG_K)
         .to_pandas()
@@ -207,19 +207,6 @@ QUERIES = {
     "ndcg_bm25": q_ndcg_bm25,
 }
 
-ORACLE_SQL: dict[str, str] = {}
-
-
-def dynamic_oracle_sql(sf_dir: str) -> dict[str, str]:
-    """embeds SQL_BM25 lazily (indexing.py may import after this
-    module), the retrieval.py pattern."""
-    from .indexing import SQL_BM25
-
-    return {"ndcg_bm25": _sql_ndcg(SQL_BM25)}
-
-
-# self-register (same pattern as retrieval.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)
+ORACLE_SQL = {
+    "ndcg_bm25": _sql_ndcg(SQL_BM25),
+}

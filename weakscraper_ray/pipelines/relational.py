@@ -3024,18 +3024,18 @@ ORACLE_SQL = {
 
 #: driver sf tier for the oracle comparison (the twins the dynamic
 #: oracles read are built for this dir — __ray_entry__.oracle_sql()
-#: calls build_oracle_sql() which materializes them)
+#: calls registry.oracle_sql(), which materializes them)
 DRIVER_SF_DIR = "/root/testdata/sf0.01"
 
 
-def build_oracle_sql(sf_dir: str = DRIVER_SF_DIR) -> dict[str, str]:
-    """Static SQL twins + the dynamic ones whose oracle is a
-    deterministic expected-twin parquet (built here, single-threaded,
-    independent of the Ray execution path — see weakscraper_ray.oracles).
+def dynamic_oracle_sql(sf_dir: str = DRIVER_SF_DIR) -> dict[str, str]:
+    """The twins that depend on ``sf_dir``: SQL over a deterministic
+    expected-twin parquet (built here, single-threaded, independent of
+    the Ray execution path — see weakscraper_ray.oracles).
     """
     from .. import oracles
 
-    out = dict(ORACLE_SQL)
+    out = {}
     out["lang_id"] = _sql_lang_id()
     out["quality_score"] = _sql_quality()
     out["embed_knn"] = _sql_embed_knn(sf_dir)
@@ -3105,39 +3105,6 @@ WHERE bit_count(xor(a.sig, b.sig)) <= {SIMHASH_MAX_HAMMING}
         f"SELECT * FROM read_parquet('{oracles.frame_sample_twin()}')"
     )
     out["pdf_layout"] = f"SELECT * FROM read_parquet('{oracles.pdf_layout_twin()}')"
-    from . import analytics as _an
-
-    out.update(_an.dynamic_oracle_sql(sf_dir))
-    from . import curation as _cur
-
-    out.update(_cur.dynamic_oracle_sql(sf_dir))
-    from . import clustering as _clu
-
-    out.update(_clu.dynamic_oracle_sql(sf_dir))
-    from . import series as _ser
-
-    out.update(_ser.dynamic_oracle_sql(sf_dir))
-    from . import tokenizer as _tok
-
-    out.update(_tok.dynamic_oracle_sql(sf_dir))
-    from . import graph as _gr
-
-    out.update(_gr.dynamic_oracle_sql(sf_dir))
-    from . import retrieval as _ret
-
-    out.update(_ret.dynamic_oracle_sql(sf_dir))
-    from . import ranking as _rank
-
-    out.update(_rank.dynamic_oracle_sql(sf_dir))
-    from . import rounds as _rnd
-
-    out.update(_rnd.dynamic_oracle_sql(sf_dir))
-    from . import neardup as _nd
-
-    out.update(_nd.dynamic_oracle_sql(sf_dir))
-    from . import transcript_ops as _tro
-
-    out.update(_tro.dynamic_oracle_sql(sf_dir))
     return out
 
 
@@ -3707,161 +3674,3 @@ def q_knn_ivf(sf_dir: str):
 
 
 QUERIES["knn_ivf"] = q_knn_ivf
-
-# round-3 analytics family (text stats, exact corr, OLAP shapes,
-# set ops, full outer, interpolated percentiles). The module registers
-# itself into QUERIES/ORACLE_SQL at the END of its own import so the
-# relational↔analytics import cycle resolves in either order (workers
-# may import analytics first when deserializing its batch functions).
-from . import analytics as _analytics  # noqa: E402,F401
-
-# round-3 curation family (PII-style scrub, stratified sampling,
-# word-diversity/TTR) — same self-registration pattern as analytics.
-from . import curation as _curation  # noqa: E402,F401
-
-# round-3 embedding-space family (distributed exact PCA, per-dimension
-# moment profile) — same self-registration pattern.
-from . import embedding_ops as _embedding_ops  # noqa: E402,F401
-
-# round-3 indexing family (inverted index with capped posting lists,
-# blocked-Levenshtein fuzzy dedup) — same self-registration pattern.
-from . import indexing as _indexing  # noqa: E402,F401
-
-# round-3 link-graph family (iterative integer-exact PageRank,
-# in-degree histogram) — same self-registration pattern.
-from . import graph as _graph  # noqa: E402,F401
-
-# round-3 mining family (TPC-H-Q5-shape multiway join, char-histogram
-# stats, session co-occurrence, cross-source n-gram overlap, ordered
-# funnel) — same self-registration pattern.
-from . import mining as _mining  # noqa: E402,F401
-
-# round-3 clustering family (integer-exact distributed k-means) —
-# same self-registration pattern.
-from . import clustering as _clustering  # noqa: E402,F401
-
-# round-3 interval/regression/span-dedup/audit/ntile family — same
-# self-registration pattern.
-from . import series as _series  # noqa: E402,F401
-
-# round-3 warehouse/data-ops family (CDC upsert merge, expectation
-# audit, BPE pair counting, market-basket mining, z-order layout) —
-# same self-registration pattern.
-from . import dataops as _dataops  # noqa: E402,F401
-
-# round-3 corpus/experiment statistics family (Zipf rank-frequency
-# fit, Welch A/B read-out) — same self-registration pattern.
-from . import stats as _stats  # noqa: E402,F401
-
-# round-3 data-quality / drift-monitoring family (rolling median,
-# CUSUM changepoint, autocorrelation, Benford audit, PSI drift,
-# winsorize) — same self-registration pattern.
-from . import monitor as _monitor  # noqa: E402,F401
-
-# round-3 subword tokenizer family (full BPE train + encode) — same
-# self-registration pattern.
-from . import tokenizer as _tokenizer  # noqa: E402,F401
-
-# round-3 exact set-similarity join (prefix filtering) — same
-# self-registration pattern.
-from . import ssjoin as _ssjoin  # noqa: E402,F401
-
-# round-3 governance / history-tracking family (k-anonymity, SCD2,
-# Markov transitions, integer EWMA) — same self-registration pattern.
-from . import audit as _audit  # noqa: E402,F401
-
-# round-3 statistical-inference / drift family (Poisson bootstrap,
-# mutual information, Kaplan–Meier, exact 1-D Wasserstein).
-from . import inference as _inference  # noqa: E402,F401
-
-# round-3 model-fitting / lexicon-statistics family (exact isotonic
-# regression, Dunning G² collocations).
-from . import fitting as _fitting  # noqa: E402,F401
-
-# round-3 retrieval / LM-curation family (reciprocal-rank fusion,
-# Stupid-Backoff held-out scoring, skip-gram pair generation).
-from . import retrieval as _retrieval  # noqa: E402,F401
-
-# round-3 membership/cardinality sketches made hash-exact (HyperLogLog
-# registers + raw estimate, Bloom-filter semi-join pruning audit).
-from . import membership as _membership  # noqa: E402,F401
-
-# round-3 round-synchronous distributed algorithms (Luby MIS,
-# handshake matching, HyperBall neighborhood estimation, k-truss).
-from . import rounds as _rounds  # noqa: E402,F401
-
-# round-3 sequential-analysis family (Wald SPRT first-crossing via
-# two-phase prefix partials).
-from . import sequential as _sequential  # noqa: E402,F401
-
-# round-3 ranking-evaluation family (NDCG@10 / P@10 of the BM25
-# ranking against term-coverage relevance).
-from . import ranking as _ranking  # noqa: E402,F401
-
-# round-3 second-moment / tail / entropy estimators (exact integer
-# Gram matrix, Hill tail index, Markov entropy rate).
-from . import moments as _moments  # noqa: E402,F401
-
-# round-3 semiring path-relaxation family (weighted SSSP, widest path,
-# walk counting — one Bellman-Ford skeleton, three semirings).
-from . import paths as _paths  # noqa: E402,F401
-
-
-# round-3 ML-prep family (held-out Naive Bayes confusion matrix,
-# histogram Gini stump, FastSS edit-distance-1 join).
-from . import mlprep as _mlprep  # noqa: E402,F401
-
-# round-3 range / spatial-locality family (Z-order cells, interval
-# overlap via sort-sweep identity).
-from . import ranges as _ranges  # noqa: E402,F401
-
-# round-3 near-dup extensions (Broder shingle containment, SemDeDup
-# semantic pruning over the shared k-means fit).
-from . import neardup as _neardup  # noqa: E402,F401
-
-# round-3 engagement / stream-hygiene family (cohort retention,
-# integer recency decay, watermark late-arrival audit).
-from . import engagement as _engagement  # noqa: E402,F401
-
-# round-3 activity-inequality family (Gini via the value-census rank
-# identity, Theil entropy index, Herfindahl concentration).
-from . import inequality as _inequality  # noqa: E402,F401
-
-# round-3 feature-engineering family (hashing-trick feature sketch).
-from . import features as _features  # noqa: E402,F401
-
-# round-3 sequence-pattern / alignment / exact-OLS family (GSP triple
-# support, DTW with a recursive-CTE twin, bigint-Cramer least squares).
-from . import patterns as _patterns  # noqa: E402,F401
-
-# round-3 classical-measures family (Yule's K, tie-corrected Spearman,
-# Mann–Kendall trend test).
-from . import measures as _measures  # noqa: E402,F401
-
-# round-3 graph-structure measures (degree assortativity, rich-club
-# coefficient) over the derived citation graph.
-from . import graphstats as _graphstats  # noqa: E402,F401
-
-# round-3 classical hypothesis tests + spectral read-out (one-way
-# ANOVA F, tie-corrected Kruskal–Wallis H, weekly periodogram).
-from . import hypotests as _hypotests  # noqa: E402,F401
-
-# round-3 classical hypothesis tests II (Mood median, McNemar,
-# Cox–Stuart, Jonckheere–Terpstra, Wilcoxon signed-rank, Bartlett,
-# Pettitt changepoint, Ljung–Box portmanteau).
-from . import hypotests2 as _hypotests2  # noqa: E402,F401
-
-# round-3 nonparametric statistics III (two-sample Cramér–von Mises,
-# Hoeffding's D independence, Cochran's Q blocked binary,
-# Hodges–Lehmann pseudo-median).
-from . import nonparam as _nonparam  # noqa: E402,F401
-
-
-# round-4 transcript conversation-hygiene family (response latency,
-# assistant/user char ratio, context-budget truncation statistics).
-from . import transcript_ops as _transcript_ops  # noqa: E402,F401
-
-# round-4 classic warehouse shapes (Q14 promo share via broadcast dim
-# classifier, Q10 returned-revenue top-k join, month-over-month churn
-# via per-user month bitmask folds).
-from . import tpch_ops as _tpch_ops  # noqa: E402,F401

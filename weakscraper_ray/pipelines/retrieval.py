@@ -47,7 +47,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from .indexing import SQL_BM25, q_bm25_score
 from .relational import _i64_away_np, _p, _read
+from .tokenizer import _bigram_partial, _term_partial
 
 #: RRF constants: list depth K and the standard k=60 damping.
 _RRF_K = 100
@@ -91,7 +93,6 @@ def q_rrf_fusion(sf_dir: str):
     import pyarrow.parquet as pq
 
     from ..functions.similarity import knn_brute_force
-    from .indexing import q_bm25_score
 
     # ---- lexical leg: distributed sort cut at K, ranks on K rows
     lex = (
@@ -205,8 +206,6 @@ def q_stupid_backoff(sf_dir: str):
     ``ray.put``; scoring is ONE streaming map with no exchange — a
     document is one row, so its bigrams never cross a batch."""
     from ray.data.aggregate import Sum
-
-    from .analytics import _bigram_partial, _term_partial
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -461,8 +460,6 @@ def q_kn_bigram(sf_dir: str):
     ``zipf_slope`` ln-parity argument)."""
     from ray.data.aggregate import Sum
 
-    from .analytics import _bigram_partial, _term_partial
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def _even_only(t: pa.Table) -> pa.Table:
@@ -620,22 +617,9 @@ QUERIES = {
 }
 
 ORACLE_SQL = {
+    "rrf_fusion": _sql_rrf(SQL_BM25),
     "stupid_backoff": SQL_STUPID_BACKOFF,
     "skipgram_pairs": SQL_SKIPGRAM,
     "kn_bigram": SQL_KN_BIGRAM,
 }
 
-
-def dynamic_oracle_sql(sf_dir: str) -> dict[str, str]:
-    """rrf_fusion's twin embeds SQL_BM25 (defined in indexing.py, which
-    may import after this module) — resolved lazily like tokenizer.py."""
-    from .indexing import SQL_BM25
-
-    return {"rrf_fusion": _sql_rrf(SQL_BM25)}
-
-
-# self-register (same pattern as monitor.py / audit.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -784,13 +784,6 @@ ORACLE_SQL = {
 
 
 def dynamic_oracle_sql(sf_dir: str) -> dict[str, str]:
-    """seed_select's twin embeds paths._sql_ppr — resolved lazily in
-    relational.build_oracle_sql (a module-import-time call deadlocks
-    worker unpickling when the chain enters via paths)."""
+    """seed_select's twin embeds paths._sql_ppr — resolved lazily by
+    registry.oracle_sql rather than at module import."""
     return {"seed_select": _sql_seed_select()}
-
-# self-register (same pattern as monitor.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

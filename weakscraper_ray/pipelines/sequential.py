@@ -179,9 +179,3 @@ QUERIES = {
 ORACLE_SQL = {
     "sprt_test": SQL_SPRT,
 }
-
-# self-register (same pattern as monitor.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

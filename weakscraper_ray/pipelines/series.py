@@ -50,11 +50,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources.checkpoint import _CHECKSUM_MOD, _checksum_key_partial
 from .relational import _i64_away, _i64_away_np, _read, _schema_guard
 
 _US_PER_S = 1_000_000
 _US_PER_DAY = 86_400_000_000
-_CHECKSUM_MOD = 9_223_372_036_854_775_807  # 2^63 - 1: partials stay int64
 
 
 # =====================================================================
@@ -375,24 +375,6 @@ GROUP BY g.doc_id
 # Order-independent table checksum (cross-run / cross-engine audit)
 # =====================================================================
 
-def _checksum_key_partial(key: pa.Array, n_rows: int) -> pa.Table:
-    # per-row md5 (no Arrow kernel exists; same justification as
-    # sample_hash) — lower 8 digest bytes little-endian mirrors
-    # DuckDB's md5_number_lower()
-    acc = 0
-    for s in key.to_pylist():
-        acc += (
-            int.from_bytes(hashlib.md5(s.encode()).digest()[8:], "little")
-            % _CHECKSUM_MOD
-        )
-    return pa.table(
-        {
-            "part": pa.array([acc % _CHECKSUM_MOD], pa.int64()),
-            "n": pa.array([n_rows], pa.int64()),
-        }
-    )
-
-
 def _checksum_partial(batch: pa.Table) -> pa.Table:
     key = pc.binary_join_element_wise(
         pc.cast(batch.column("o_orderkey"), pa.string()),
@@ -401,28 +383,6 @@ def _checksum_partial(batch: pa.Table) -> pa.Table:
         "|",
     )
     return _checksum_key_partial(key, batch.num_rows)
-
-
-def checksum_dataset(ds, columns: list[str]) -> dict:
-    """Order-independent fingerprint of ANY dataset over a canonical
-    '|'-joined string projection of ``columns`` — the CLI audit surface
-    (``python -m weakscraper_ray checksum``). Two runs over the same
-    rows agree regardless of partitioning, block order, or engine
-    (DuckDB mirror: sum of md5_number_lower over the same printf).
-    Map-only; one row per batch reaches the driver."""
-
-    def _part(batch: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(
-            *[pc.cast(batch.column(c), pa.string()) for c in columns], "|"
-        )
-        return _checksum_key_partial(key, batch.num_rows)
-
-    pdf = ds.map_batches(_part, batch_format="pyarrow").to_pandas()
-    return {
-        "n_rows": int(pdf["n"].sum()),
-        "checksum": int(sum(int(v) for v in pdf["part"])) % _CHECKSUM_MOD,
-        "columns": list(columns),
-    }
 
 
 def q_table_checksum(sf_dir: str):
@@ -932,7 +892,7 @@ SELECT doc_id, source FROM (
 # =====================================================================
 
 #: (tag, RE2 pattern) in priority order — both engines are RE2, so the
-#: class semantics agree byte-for-byte (same rationale as analytics._WS)
+#: class semantics agree byte-for-byte (same rationale as tokenizer._WS)
 _RULES = [
     ("digits", r"[0-9]"),
     ("shouting", r"[A-Z]{4}"),
@@ -1290,7 +1250,7 @@ def q_pmi_bigrams(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    from .analytics import _bigram_partial, _term_partial
+    from .tokenizer import _bigram_partial, _term_partial
 
     ds = _read(sf_dir, "documents", ["text"])
     uni = (
@@ -1751,9 +1711,9 @@ def q_negative_sampling(sf_dir: str):
     excluding the query and its positive) — per-batch partial top-4 →
     bounded driver reduce, so the negative pick streams the id column
     only (pruned read)."""
-    from .relational import QUERIES as _Q
+    from .relational import q_knn_cosine
 
-    knn = _Q["knn_cosine"](sf_dir)
+    knn = q_knn_cosine(sf_dir)
     kdf = knn.to_pandas() if hasattr(knn, "to_pandas") else knn
     kdf = kdf[kdf["vec_id"] != kdf["query_id"]].sort_values(
         ["query_id", "score_e4", "vec_id"], ascending=[True, False, True],
@@ -2151,8 +2111,8 @@ GROUP BY lang
 
 
 def dynamic_oracle_sql(sf_dir: str) -> dict[str, str]:
-    """Twins whose SQL embeds data-dependent paths (wired in
-    relational.build_oracle_sql)."""
+    """Twins whose SQL embeds data-dependent paths (merged by
+    registry.oracle_sql)."""
     return {"schema_evolve_scan": sql_schema_evolve(sf_dir)}
 
 
@@ -2704,17 +2664,17 @@ def q_dedup_eval(sf_dir: str):
     orientation-normalized before comparison. The pair sets are
     LSH/window-bounded, so the set algebra runs driver-side; at a
     scale where they aren't, it becomes one groupby((min,max)) cogroup."""
-    from .relational import QUERIES as _Q
+    from .relational import q_dedup_minhash
 
-    def _pairs(name):
-        r = _Q[name](sf_dir)
+    def _pairs(query):
+        r = query(sf_dir)
         df = r.to_pandas() if hasattr(r, "to_pandas") else r
         a = df["doc_a"].to_numpy(dtype=np.int64)
         b = df["doc_b"].to_numpy(dtype=np.int64)
         return set(zip(np.minimum(a, b), np.maximum(a, b)))
 
-    truth = _pairs("dedup_minhash")
-    cand = _pairs("dedup_snm")
+    truth = _pairs(q_dedup_minhash)
+    cand = _pairs(q_dedup_snm)
     hit = len(truth & cand)
     # mirrored doubles: cast(hit AS DOUBLE) / n * 1e6, half-away
     prec = float(hit) / len(cand) * 1e6 if cand else 0.0
@@ -2991,10 +2951,3 @@ ORACLE_SQL = {
     "max_burst": SQL_MAX_BURST,
     "dedup_eval": SQL_DEDUP_EVAL,
 }
-
-# self-register into the driver-facing registries (same pattern and
-# import-cycle note as analytics.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -48,7 +48,6 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from . import relational as _rel
 from .relational import _read
 
 #: Jaccard threshold τ = _TAU_NUM/_TAU_DEN (integer arithmetic only)
@@ -281,6 +280,3 @@ QUERIES = {
 ORACLE_SQL = {
     "ssjoin_prefix": SQL_SSJOIN,
 }
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -48,7 +48,7 @@ def q_zipf_slope(sf_dir: str):
     vocabulary-bounded term-count reduction (shuffle payload = batch
     vocabulary, never the token stream); the regression itself runs on
     ≤200 (rank, count) integers via quantized-log OLS."""
-    from .analytics import _term_partial, _topk_terms
+    from .tokenizer import _term_partial, _topk_terms
 
     ds = _read(sf_dir, "documents", ["text"])
     top = _topk_terms(
@@ -1094,10 +1094,3 @@ ORACLE_SQL = {
     "ab_test": SQL_AB,
     "rolling_corr": SQL_ROLLING_CORR,
 }
-
-# self-register into the driver-facing registries (same pattern as
-# analytics.py / series.py / dataops.py)
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -35,6 +35,66 @@ import pyarrow.compute as pc
 
 from .relational import _read
 
+# RE2 on both sides: pyarrow's split_pattern_regex and DuckDB's
+# regexp_* are both RE2, so `\s` / `\S` classes agree byte-for-byte.
+_WS = r"\s+"
+_TRIM = r"^\s+|\s+$"
+
+
+# =====================================================================
+# Vocabulary partials shared with retrieval.py, analytics.py and the
+# statistics families: per-batch term and bigram counts, so the
+# shuffle payload is the batch vocabulary
+# =====================================================================
+
+def _term_partial(batch: pa.Table) -> pa.Table:
+    """Per-batch partial term counts: the shuffle payload is the batch
+    *vocabulary* (term, n), not the token stream."""
+    toks = pc.split_pattern_regex(batch.column("text"), pattern=_WS)
+    flat = pc.drop_null(pc.list_flatten(toks))
+    flat = flat.filter(pc.not_equal(flat, ""))  # boundary empties from leading/trailing ws
+    vc = pc.value_counts(flat.combine_chunks() if isinstance(flat, pa.ChunkedArray) else flat)
+    return pa.table(
+        {"term": vc.field("values"), "n": pc.cast(vc.field("counts"), pa.int64())}
+    )
+
+
+def _topk_terms(ds, col: str, k: int):
+    from ray.data.aggregate import Sum
+
+    agg = ds.groupby(col).aggregate(Sum("n"))
+    agg = agg.map_batches(
+        lambda t: pa.table({col: t.column(col), "n": pc.cast(t.column("sum(n)"), pa.int64())}),
+        batch_format="pyarrow",
+    )
+    return agg.sort(["n", col], descending=[True, False]).limit(k)
+
+
+def _bigram_partial(batch: pa.Table) -> pa.Table:
+    """Consecutive-token pairs within each document, vectorized over
+    the flattened token array with list offsets masking doc
+    boundaries."""
+    txt = pc.replace_substring_regex(batch.column("text"), pattern=_TRIM, replacement="")
+    keep = pc.not_equal(txt, "")
+    txt = pc.drop_null(txt.filter(keep))
+    if len(txt) == 0:
+        return pa.table({"bigram": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
+    toks = pc.split_pattern_regex(txt, pattern=_WS)
+    la = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
+    flat = la.flatten().to_pandas().to_numpy()  # object array of str, no empties after trim
+    offs = np.asarray(la.offsets)
+    if len(flat) < 2:
+        return pa.table({"bigram": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
+    left = pd.Series(flat[:-1])
+    right = pd.Series(flat[1:])
+    valid = np.ones(len(flat) - 1, dtype=bool)
+    valid[offs[1:-1] - 1] = False  # last token of each doc pairs with next doc: drop
+    vc = (left[valid] + " " + right[valid]).value_counts()
+    return pa.table(
+        {"bigram": pa.array(vc.index, pa.string()), "n": pa.array(vc.to_numpy(), pa.int64())}
+    )
+
+
 #: vocabulary cap for merge training (count DESC, word ASC)
 _BPE_VOCAB = 10_000
 #: number of merge rules learned
@@ -89,8 +149,6 @@ def encode_word(word: str, rank: dict[tuple[str, str], int]) -> int:
 
 def _word_counts_topv(sf_dir: str) -> list[tuple[str, int]]:
     """Distributed word-frequency dictionary, capped to _BPE_VOCAB."""
-    from .analytics import _term_partial, _topk_terms
-
     ds = _read(sf_dir, "documents", ["text"])
     top = _topk_terms(
         ds.map_batches(_term_partial, batch_format="pyarrow"), "term", _BPE_VOCAB
@@ -153,8 +211,3 @@ def dynamic_oracle_sql(sf_dir: str) -> dict[str, str]:
 
 QUERIES = {"bpe_encode": q_bpe_encode}
 ORACLE_SQL: dict[str, str] = {}
-
-from . import relational as _rel  # noqa: E402
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

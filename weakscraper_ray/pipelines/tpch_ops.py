@@ -31,7 +31,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
-from . import relational as _rel
 from .relational import _p, _read
 
 # =====================================================================
@@ -500,6 +499,3 @@ ORACLE_SQL = {
     "returned_revenue": SQL_RETURNED_REVENUE,
     "daily_churn": SQL_DAILY_CHURN,
 }
-
-_rel.QUERIES.update(QUERIES)
-_rel.ORACLE_SQL.update(ORACLE_SQL)

@@ -43,7 +43,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import relational as _rel
 from .relational import _read, _schema_guard, _size_for  # noqa: F401
 
 _T_SHARDS = 256
@@ -698,6 +697,3 @@ def dynamic_oracle_sql(sf_dir: str) -> dict[str, str]:
         "turn_echo": _sql_turn_echo(shards_glob),
         "tool_bigrams": _sql_tool_bigrams(shards_glob),
     }
-
-
-_rel.QUERIES.update(QUERIES)

@@ -14,9 +14,13 @@ calls :func:`committed_partitions` and prunes finished partitions
 BEFORE the extract stage, so committed work is neither recomputed nor
 rewritten. Metrics roll-up (R5) reads only the tiny manifests.
 
-Partition key: ``shard = hash(conv_id) % n_shards`` — the same key the
-pipeline's ordering groupby uses, so one output partition holds whole
-conversations (no cross-partition turn splits).
+Partition key: ``shard = hash(conv_id) % n_shards``, so one output
+partition holds whole conversations (no cross-partition turn splits).
+
+:func:`checksum_dataset` is the audit side of the layout
+(``python -m weakscraper_ray checksum``): an order-independent
+fingerprint, so a rewritten or repartitioned copy can be checked
+against its source without a sort.
 """
 
 from __future__ import annotations
@@ -38,9 +42,8 @@ def shard_of(conv_id: str, n_shards: int) -> int:
 
 def add_shard_column(n_shards: int):
     """Vectorized shard derivation: dictionary-encode conv_id, blake2b
-    each DISTINCT id once, scatter (same code path as the ordering
-    stage's conv hash — stages/ordering._conv_hash — so sink shards and
-    ordering shards always agree)."""
+    each DISTINCT id once, scatter (stages/ordering._conv_hash, the
+    same hash as :func:`shard_of`)."""
     import numpy as np
 
     from ..stages.ordering import _conv_hash
@@ -251,3 +254,48 @@ def metrics_rollup(out_dir: str) -> dict:
                   "boilerplate_bytes_stripped", "errors"):
             total[k] += m.get(k, 0)
     return total
+
+
+#: 2^63 - 1: per-batch partials stay int64
+_CHECKSUM_MOD = 9_223_372_036_854_775_807
+
+
+def _checksum_key_partial(key: pa.Array, n_rows: int) -> pa.Table:
+    """One (part, n) row for a batch: the modular sum of per-row md5
+    values of the canonical ``key`` strings. Per-row md5 because no
+    Arrow kernel exists; the lower 8 digest bytes, little-endian,
+    mirror DuckDB's md5_number_lower()."""
+    acc = 0
+    for s in key.to_pylist():
+        acc += (
+            int.from_bytes(hashlib.md5(s.encode()).digest()[8:], "little")
+            % _CHECKSUM_MOD
+        )
+    return pa.table(
+        {
+            "part": pa.array([acc % _CHECKSUM_MOD], pa.int64()),
+            "n": pa.array([n_rows], pa.int64()),
+        }
+    )
+
+
+def checksum_dataset(ds, columns: list[str]) -> dict:
+    """Order-independent fingerprint of ANY dataset over a canonical
+    '|'-joined string projection of ``columns`` — the CLI audit surface
+    (``python -m weakscraper_ray checksum``). Two runs over the same
+    rows agree regardless of partitioning, block order, or engine
+    (DuckDB mirror: sum of md5_number_lower over the same printf).
+    Map-only; one row per batch reaches the driver."""
+
+    def _part(batch: pa.Table) -> pa.Table:
+        key = pc.binary_join_element_wise(
+            *[pc.cast(batch.column(c), pa.string()) for c in columns], "|"
+        )
+        return _checksum_key_partial(key, batch.num_rows)
+
+    pdf = ds.map_batches(_part, batch_format="pyarrow").to_pandas()
+    return {
+        "n_rows": int(pdf["n"].sum()),
+        "checksum": int(sum(int(v) for v in pdf["part"])) % _CHECKSUM_MOD,
+        "columns": list(columns),
+    }
