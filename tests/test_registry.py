@@ -1,5 +1,6 @@
-"""Guards on the query registry (``weakscraper_ray/pipelines/registry.py``)
-and the tools that name queries. No Ray session needed."""
+"""Guards on the query registry (``weakscraper_ray/pipelines/registry.py``),
+the tools that name queries, and the package's raw Ray actors. No Ray
+session needed."""
 
 import ast
 import glob
@@ -63,3 +64,21 @@ def test_tool_query_lists_are_registered():
     names = set(registry.queries())
     assert set(_load("bench").QUERY_NAMES) <= names
     assert set(_load("scale_curve").QUERIES) <= names
+
+
+def test_no_raw_actors_outside_bsp():
+    """Product code runs on stateless Ray Data tasks, whose worker loss
+    task retries cover. ``state/bsp.py`` (the graph families' actor) is
+    the last raw actor; nothing else may declare one or restart one
+    forever."""
+    pkg = os.path.join(REPO, "weakscraper_ray")
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True)):
+        rel = os.path.relpath(path, pkg)
+        if rel == os.path.join("state", "bsp.py"):
+            continue
+        src = open(path).read()
+        offenders += [
+            f"{rel}: {pat}" for pat in ("@ray.remote", "max_restarts=-1") if pat in src
+        ]
+    assert offenders == []

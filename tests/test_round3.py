@@ -985,22 +985,74 @@ def test_pagerank_matches_single_threaded_reference(ray_session):
 
 # ---------------------------------------------------------------- round-3 continuation #6: mining family
 
-def test_lsh_index_shard_cap_and_overflow(ray_session):
-    """LSHIndexShard caps posting lists at `cap` and counts overflow
-    visibly (never silent truncation): adds beyond the cap keep the
-    first `cap` ids; lookup returns [] for unknown keys."""
-    import ray as _ray
+def test_lsh_index_shard_cap_and_overflow():
+    """``bucket_pairs_shard`` holds the LSH bucket cap: a bucket with
+    more than ``max_bucket`` ids emits exactly the pairs of its
+    ``max_bucket`` smallest ids, and no pair crosses two
+    (band, band_hash) buckets of the same shard — not even two buckets
+    that share a band_hash under different bands."""
+    from itertools import combinations
 
-    from weakscraper_ray.state.hash_index import LSHIndexShard
+    import pyarrow as pa
 
-    shard = LSHIndexShard.remote(cap=3)
-    _ray.get(shard.add.remote([7, 7, 7, 7, 8], [10, 11, 12, 13, 20]))
-    got = _ray.get(shard.lookup.remote([7, 8, 9]))
-    assert got[0] == [10, 11, 12]          # capped at 3, insertion order
-    assert got[1] == [20]
-    assert got[2] == []
-    stats = _ray.get(shard.stats.remote())
-    assert stats == {"n_buckets": 2, "overflow": 1}
+    from weakscraper_ray.functions.dedup import bucket_pairs_shard
+
+    buckets = {
+        (0, 7): [13, 11, 10, 12, 14],  # over the cap: keeps 10, 11, 12
+        (1, 7): [20, 21],              # same band_hash, other band
+        (0, 8): [30],                  # singleton: no pair
+        (2, 9): [41, 40, 42],          # exactly at the cap
+    }
+    rows = [(b, h, i) for (b, h), ids in buckets.items() for i in ids]
+    band, band_hash, doc_id = zip(*rows[::-1])  # input order is irrelevant
+    g = pa.table(
+        {
+            "band": pa.array(band, pa.int32()),
+            "band_hash": pa.array(band_hash, pa.uint64()),
+            "doc_id": pa.array(doc_id, pa.int64()),
+            "bshard": pa.array([5] * len(rows), pa.int64()),
+        }
+    )
+    out = bucket_pairs_shard(g, max_bucket=3)
+    assert out.schema == pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
+    got = sorted(zip(out.column("doc_a").to_pylist(), out.column("doc_b").to_pylist()))
+    want = sorted(
+        p
+        for ids in buckets.values()
+        for p in combinations(sorted(ids)[:3], 2)
+    )
+    assert got == want
+    assert not any(13 in p or 14 in p for p in got)  # capped ids emit nothing
+    bucket_of = {i: k for k, ids in buckets.items() for i in ids}
+    assert all(bucket_of[a] == bucket_of[b] for a, b in got)
+
+
+def test_dedup_keep_best_keeps_ids_above_2_53(ray_session, tmp_path):
+    """doc_id and cluster_id 2^53+1 pass through dedup_keep_best
+    exactly: its quality attach carries -1 sentinels, never nulls, so
+    no int64 column degrades to float64 (which rounds 2^53+1 to
+    2^53)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from weakscraper_ray.pipelines.relational import q_dedup_keep_best
+
+    big = 2**53
+    dup = "the quick brown fox jumps over the lazy dog"
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array([big + 1, big + 2, big + 3], pa.int64()),
+                "text": [dup, "a wholly unrelated note on tide tables", dup],
+                "n_chars": pa.array([10, 99, 20], pa.int64()),
+            }
+        ),
+        str(tmp_path / "documents.parquet"),
+    )
+    got = q_dedup_keep_best(str(tmp_path)).to_pandas().sort_values("doc_id")
+    assert got["doc_id"].tolist() == [big + 1, big + 3]
+    assert got["cluster_id"].tolist() == [big + 1, big + 1]
+    assert got["is_keeper"].tolist() == [0, 1]  # the longer copy
 
 
 def test_char_stats_kernel_unicode_and_empty():

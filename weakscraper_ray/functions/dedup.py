@@ -8,10 +8,16 @@ Scale shapes (all expressed on Ray Data primitives):
   first-per-group. Shuffles only (hash, id) — never full text.
 - **MinHash+LSH**: per-batch shingle→minhash signatures (numpy, one
   matrix op per batch) → explode to (band, band_hash, doc_id) rows →
-  ``groupby(band, band_hash)`` → candidate pairs per bucket → exact
-  Jaccard verify → min-label propagation for clusters. Each groupby
-  key is a 64-bit bucket hash, so skew is bounded by true duplicate
-  cluster sizes.
+  ``groupby`` on a bounded band-hash shard → candidate pairs per
+  (band, band_hash) bucket in-process (:func:`bucket_pairs_shard`,
+  which holds the ``max_bucket`` cap) → exact Jaccard verify →
+  min-label propagation for clusters. Skew is bounded by true
+  duplicate cluster sizes.
+- **against a corpus** (incremental dedup of new docs): the same
+  shapes restricted to new-vs-old — an exact digest anti-join per
+  bounded shard (the :func:`_anti_exchange` shape) and cross-half
+  MinHash candidates. No index is held in actors: every stage is a
+  stateless Ray Data task, so worker loss is a task retry.
 - **SimHash**: 64-bit signature per doc (numpy); near-dup candidates =
   equal 16-bit bands (4 tables), verified by Hamming distance.
 - **embedding cosine**: normalize once per batch; random-hyperplane

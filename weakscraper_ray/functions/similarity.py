@@ -91,8 +91,7 @@ def global_topk(group: pd.DataFrame, k: int = 10) -> pd.DataFrame:
     return g.head(k)
 
 
-def knn_brute_force(ds, query_ids, query_matrix, k: int = 10, batch_size: int = 4096,
-                    concurrency=None):
+def knn_brute_force(ds, query_ids, query_matrix, k: int = 10, batch_size: int = 4096):
     """Full brute-force pipeline: broadcast queries → partial top-k →
     tiny global reduce. Returns a Dataset of (query_id, vec_id, score)."""
     ref = ray.put({"ids": list(query_ids), "matrix": np.asarray(query_matrix)})
@@ -103,7 +102,7 @@ def knn_brute_force(ds, query_ids, query_matrix, k: int = 10, batch_size: int = 
         batch_size=batch_size,
         # autoscaling pool: never pin a pool to the whole cluster — a
         # fixed pool equal to num_cpus starves the read stage
-        concurrency=concurrency or (1, 4),
+        concurrency=(1, 4),
         num_cpus=1,
     )
     return partials.groupby("query_id").map_groups(

@@ -979,39 +979,24 @@ def _minhash_verify_shuffle(uniq, docs_ds):
     )
 
 
-def q_dedup_minhash(sf_dir: str, broadcast_max_pairs: int = _MINHASH_BROADCAST_MAX_PAIRS):
-    """MinHash+LSH near-dup pairs verified by exact 3-gram Jaccard.
+def _minhash_candidates(ds):
+    """Distinct LSH candidate pairs (``doc_a < doc_b``) of a
+    ``(doc_id, text)`` Dataset: shingle→minhash per batch → band
+    explode → bucket pairs per band-hash shard → distinct pairs. Id
+    pairs only (16 B/row), never text.
 
-    shingle→minhash per batch → band explode → bucket groupby →
-    candidate pairs → verify. The verify side never holds the corpus
-    driver-side (VERDICT r1 #3): the candidate PAIR set (post-LSH,
-    orders of magnitude smaller than the input) is materialized, the
-    distinct candidate ids are broadcast, and (doc_id, text) is
-    re-read PRUNED to those ids — so driver/broadcast memory is
-    bounded by the candidate set, not the table. The candidate count
-    is LOGGED, and above ``broadcast_max_pairs`` the verify switches
-    to :func:`_minhash_verify_shuffle` (fully distributed, no driver
-    materialization at all) — the broadcast bound is data-dependent,
-    so it must not be assumed silently (VERDICT r2 #4).
-    The 16-band/4-row LSH config has measured full recall at J >= 0.5
-    on this corpus (verified against the all-pairs oracle).
+    3-gram word shingles: unigram shingles degenerate on short
+    shared-vocabulary docs (every doc becomes a candidate pair —
+    measured 1.9M candidates over 5k docs at sf0.1). The signature
+    stage runs as plain TASKS, not an actor pool (VERDICT r2 #7: pool
+    spawn, not hashing, dominated); per-worker state persists via
+    ``functions.dedup._MINHASHERS`` since Ray reuses worker processes.
     """
-    import logging
-
-    from ..functions.dedup import MinHasher, bucket_pairs, explode_bands
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    # 3-gram word shingles: unigram shingles degenerate on short
-    # shared-vocabulary docs (every doc becomes a candidate pair —
-    # measured 1.9M candidates over 5k docs at sf0.1)
-    # signature stage as plain TASKS, not an actor pool: VERDICT r2 #7
-    # profiling showed pool spawn + the (1,2) width cap — not hashing —
-    # dominated the 5 s timing; per-worker state (params + shingle-hash
-    # memo) persists via functions.dedup._MINHASHERS since Ray reuses
-    # worker processes
     from functools import partial
 
-    from ..functions.dedup import minhash_batch
+    from ray.data.aggregate import Count
+
+    from ..functions.dedup import bucket_pairs_shard, explode_bands, minhash_batch
 
     sigs = ds.map_batches(
         partial(minhash_batch, n_hashes=64, shingle_k=3),
@@ -1031,8 +1016,6 @@ def q_dedup_minhash(sf_dir: str, broadcast_max_pairs: int = _MINHASH_BROADCAST_M
         ) % np.uint64(256)
         return t.append_column("bshard", pa.array(sh.astype(np.int64)))
 
-    from ..functions.dedup import bucket_pairs_shard
-
     pairs = _schema_guard(
         bands.map_batches(_band_shard, batch_format="pyarrow")
         .groupby("bshard")
@@ -1040,25 +1023,44 @@ def q_dedup_minhash(sf_dir: str, broadcast_max_pairs: int = _MINHASH_BROADCAST_M
         _PAIR_SCHEMA,
     )
     # dedup candidate pairs surfaced by multiple bands
-    from ray.data.aggregate import Count
+    return (
+        pairs.groupby(["doc_a", "doc_b"])
+        .aggregate(Count(alias_name="n_bands"))
+        .select_columns(["doc_a", "doc_b"])
+    )
 
-    uniq = pairs.groupby(["doc_a", "doc_b"]).aggregate(Count(alias_name="n_bands"))
-    # id pairs only (16 B/row) — object-store materialization, not driver
-    uniq = uniq.select_columns(["doc_a", "doc_b"]).materialize()
-    n_cand = uniq.count()
-    log = logging.getLogger("weakscraper_ray.dedup")
+
+def _minhash_verify(cand, sf_dir: str,
+                    broadcast_max_pairs: int = _MINHASH_BROADCAST_MAX_PAIRS):
+    """Exact 3-gram-Jaccard verify of a distinct ``(doc_a, doc_b)``
+    candidate Dataset. The verify side never holds the corpus
+    driver-side (VERDICT r1 #3): the candidate PAIR set is materialized
+    in the object store, the distinct candidate ids are broadcast, and
+    (doc_id, text) is re-read PRUNED to those ids — so driver/broadcast
+    memory is bounded by the candidate set, not the table. The
+    candidate count is LOGGED, and above ``broadcast_max_pairs`` the
+    verify switches to :func:`_minhash_verify_shuffle` (fully
+    distributed, no driver materialization at all) — the broadcast
+    bound is data-dependent, so it must not be assumed silently
+    (VERDICT r2 #4)."""
+    import logging
+    from functools import partial
+
     from ..functions.gates import record as _record_gate
 
+    uniq = cand.materialize()
+    n_cand = uniq.count()
+    log = logging.getLogger("weakscraper_ray.dedup")
     if n_cand > broadcast_max_pairs:
         log.warning(
-            "dedup_minhash: %d candidate pairs > %d — shuffle verify path",
+            "minhash verify: %d candidate pairs > %d — shuffle path",
             n_cand, broadcast_max_pairs,
         )
         _record_gate("minhash_verify", "exchange", n_candidate_pairs=n_cand)
         return _minhash_verify_shuffle(
             uniq, _read(sf_dir, "documents", ["doc_id", "text"])
         )
-    log.info("dedup_minhash: %d candidate pairs — broadcast verify path", n_cand)
+    log.info("minhash verify: %d candidate pairs — broadcast path", n_cand)
     _record_gate("minhash_verify", "broadcast", n_candidate_pairs=n_cand)
 
     cand_ids = set()
@@ -1072,12 +1074,22 @@ def q_dedup_minhash(sf_dir: str, broadcast_max_pairs: int = _MINHASH_BROADCAST_M
         batch_format="pyarrow",
     )
     texts = {r["doc_id"]: r["text"] for r in pruned.take_all()}
-
-    from functools import partial
-
     return uniq.map_batches(
         partial(_jaccard_verify_batch, texts_ref=ray.put(texts)),
         batch_format="pyarrow",
+    )
+
+
+def q_dedup_minhash(sf_dir: str, broadcast_max_pairs: int = _MINHASH_BROADCAST_MAX_PAIRS):
+    """MinHash+LSH near-dup pairs verified by exact 3-gram Jaccard:
+    :func:`_minhash_candidates` then :func:`_minhash_verify` (gated
+    broadcast / shuffle verify). The 16-band/4-row LSH config has
+    measured full recall at J >= 0.5 on this corpus (verified against
+    the all-pairs oracle).
+    """
+    return _minhash_verify(
+        _minhash_candidates(_read(sf_dir, "documents", ["doc_id", "text"])),
+        sf_dir, broadcast_max_pairs,
     )
 
 
@@ -1137,6 +1149,23 @@ FROM reach GROUP BY u
 """
 
 
+def _attach_quality(g: pd.DataFrame) -> pd.DataFrame:
+    """One doc-id shard of ``dedup_keep_best``'s quality attach: member
+    rows (``is_doc`` 0) pick up their doc's ``n_chars`` from the doc
+    rows (``is_doc`` 1) with one vectorized ``Series.map``. Each side
+    fills the other's columns with -1 sentinels, never nulls: an int64
+    column with nulls degrades to float64 in pandas and rounds ids
+    above 2^53 (the ``_tag_docs`` rule)."""
+    is_doc = g["is_doc"].to_numpy() == 1
+    quality = pd.Series(
+        g.loc[is_doc, "n_chars"].to_numpy(),
+        index=g.loc[is_doc, "doc_id"].to_numpy(),
+    )
+    out = g.loc[~is_doc, ["doc_id", "cluster_id"]].copy()
+    out["n_chars"] = out["doc_id"].map(quality).astype("int64")
+    return out
+
+
 def q_dedup_keep_best(sf_dir: str):
     """Quality-aware keeper selection: one doc kept per verified
     near-dup cluster, chosen as the LONGEST member (n_chars desc, then
@@ -1149,56 +1178,37 @@ def q_dedup_keep_best(sf_dir: str):
     Scale shape: cluster membership is bounded by duplicate volume,
     never corpus size. TWO bounded crc-shard exchanges: (1) members +
     the pruned (doc_id, n_chars) stream co-locate on a doc-id shard
-    and attach quality with one vectorized merge per shard; (2) rows
-    re-key on a cluster-id shard and one per-shard pandas pass picks
-    each cluster's argmax — the per-key-UDF discipline (cluster ids
-    are data-cardinality, shards are 256)."""
+    and attach quality with one vectorized map per shard
+    (:func:`_attach_quality`); (2) rows re-key on a cluster-id shard
+    and one per-shard pandas pass picks each cluster's argmax — the
+    per-key-UDF discipline (cluster ids are data-cardinality, shards
+    are 256)."""
     clusters = q_dedup_clusters(sf_dir)
 
-    def _m_shard(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "shard": _doc_shard(
-                    t.column("doc_id").combine_chunks().cast(pa.int64())
-                ),
-                "doc_id": pc.cast(t.column("doc_id"), pa.int64()),
-                "cluster_id": pc.cast(t.column("cluster_id"), pa.int64()),
-                "n_chars": pa.nulls(len(t), pa.int64()),
-            }
+    def _side(t: pa.Table, is_doc: int) -> pa.Table:
+        # a member row carries cluster_id, a doc row n_chars; the other
+        # column is a -1 sentinel (see _attach_quality)
+        doc_id = t.column("doc_id").combine_chunks().cast(pa.int64())
+        cols = dict.fromkeys(
+            ("cluster_id", "n_chars"), pa.array(np.full(len(t), -1, np.int64))
         )
-
-    def _d_shard(t: pa.Table) -> pa.Table:
+        own = "n_chars" if is_doc else "cluster_id"
+        cols[own] = pc.cast(t.column(own), pa.int64())
         return pa.table(
             {
-                "shard": _doc_shard(
-                    t.column("doc_id").combine_chunks().cast(pa.int64())
-                ),
-                "doc_id": pc.cast(t.column("doc_id"), pa.int64()),
-                "cluster_id": pa.nulls(len(t), pa.int64()),
-                "n_chars": pc.cast(t.column("n_chars"), pa.int64()),
+                "shard": _doc_shard(doc_id),
+                "doc_id": doc_id,
+                **cols,
+                "is_doc": pa.array(np.full(len(t), is_doc, np.int8)),
             }
         )
 
     docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-
-    def _attach(g: pd.DataFrame) -> pd.DataFrame:
-        is_doc = g["cluster_id"].isna().to_numpy()
-        quality = pd.Series(
-            g.loc[is_doc, "n_chars"].to_numpy(dtype="float64"),
-            index=g.loc[is_doc, "doc_id"].to_numpy(),
-        )
-        out = g.loc[~is_doc, ["doc_id", "cluster_id"]].copy()
-        out["n_chars"] = (
-            out["doc_id"].map(quality).astype("int64")
-        )
-        out["cluster_id"] = out["cluster_id"].astype("int64")
-        return out
-
     attached = _schema_guard(
-        clusters.map_batches(_m_shard, batch_format="pyarrow")
-        .union(docs.map_batches(_d_shard, batch_format="pyarrow"))
+        clusters.map_batches(_side, fn_args=(0,), batch_format="pyarrow")
+        .union(docs.map_batches(_side, fn_args=(1,), batch_format="pyarrow"))
         .groupby("shard")
-        .map_groups(_attach, batch_format="pandas"),
+        .map_groups(_attach_quality, batch_format="pandas"),
         pa.schema(
             [
                 ("doc_id", pa.int64()),
