@@ -82,3 +82,27 @@ def test_no_raw_actors_outside_bsp():
             f"{rel}: {pat}" for pat in ("@ray.remote", "max_restarts=-1") if pat in src
         ]
     assert offenders == []
+
+
+def test_product_exchanges_use_by_shard():
+    """The product queries' keyed exchanges all run through
+    ``functions/exchange.py::by_shard``: no module hand-rolls the
+    multiply-shift shard hash, groups on a literal shard column, or
+    adds a ``repartition`` guard in front of an exchange."""
+    import re
+
+    paths = [
+        os.path.join("pipelines", f"{m}.py")
+        for m in ("relational", "curation", "transcript_ops", "mining",
+                  "neardup", "indexing", "membership", "mlprep")
+    ] + [os.path.join("functions", "dedup.py")]
+    pats = {
+        "multiply-shift constant": re.compile(r"0x9E3779B97F4A7C15", re.I),
+        "shard groupby": re.compile(r"""groupby\(\s*["'][^"']*shard["']"""),
+        "repartition": re.compile(r"\.repartition\("),
+    }
+    offenders = []
+    for rel in paths:
+        src = open(os.path.join(REPO, "weakscraper_ray", rel)).read()
+        offenders += [f"{rel}: {name}" for name, p in pats.items() if p.search(src)]
+    assert offenders == []

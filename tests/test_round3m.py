@@ -113,8 +113,8 @@ def test_stream_join_sweep_vs_quadratic():
 
 import pyarrow as pa  # noqa: E402
 
-from weakscraper_ray.pipelines.neardup import (
-    _CONT_SHARDS,
+from weakscraper_ray.functions.exchange import SHARDS, shard_of  # noqa: E402
+from weakscraper_ray.pipelines.neardup import (  # noqa: E402
     _SEM_DEN2,
     _SEM_NUM2,
     _shard_pairs,
@@ -142,7 +142,9 @@ def test_shard_pair_counts_sum_to_exact_intersection():
         {"doc_id": pa.array(range(len(texts)), pa.int64()),
          "text": pa.array(texts, pa.string())}
     )
-    part = _shingle_partial(batch).to_pandas()
+    part_t = _shingle_partial(batch)
+    part = part_t.to_pandas()
+    part["shard"] = shard_of(part_t, ["gram"])
     # distinct (gram, doc) with correct |A|
     for d, t in enumerate(texts):
         sub = part[part.doc_id == d]
@@ -151,7 +153,7 @@ def test_shard_pair_counts_sum_to_exact_intersection():
             assert (sub.na == len(_brute_shingles(t))).all()
     # shard → pairs → sum == brute-force intersection
     got = {}
-    for s in range(_CONT_SHARDS):
+    for s in range(SHARDS):
         shard = part[part.shard == s]
         if shard.empty:
             continue

@@ -8,14 +8,15 @@ Scale shapes (all expressed on Ray Data primitives):
   first-per-group. Shuffles only (hash, id) — never full text.
 - **MinHash+LSH**: per-batch shingle→minhash signatures (numpy, one
   matrix op per batch) → explode to (band, band_hash, doc_id) rows →
-  ``groupby`` on a bounded band-hash shard → candidate pairs per
+  ``functions.exchange.by_shard`` on band_hash → candidate pairs per
   (band, band_hash) bucket in-process (:func:`bucket_pairs_shard`,
   which holds the ``max_bucket`` cap) → exact Jaccard verify →
-  min-label propagation for clusters. Skew is bounded by true
+  min-label propagation for clusters (:func:`cluster_pairs`, one
+  ``by_shard`` exchange per round). Skew is bounded by true
   duplicate cluster sizes.
 - **against a corpus** (incremental dedup of new docs): the same
-  shapes restricted to new-vs-old — an exact digest anti-join per
-  bounded shard (the :func:`_anti_exchange` shape) and cross-half
+  shapes restricted to new-vs-old — an exact digest anti-join on the
+  ``by_shard`` exchange (the :func:`_anti_exchange` shape) and cross-half
   MinHash candidates. No index is held in actors: every stage is a
   stateless Ray Data task, so worker loss is a task retry.
 - **SimHash**: 64-bit signature per doc (numpy); near-dup candidates =
@@ -37,6 +38,7 @@ import pyarrow.compute as pc
 
 import ray
 
+from .exchange import by_shard
 from .gates import record
 
 # ------------------------------------------------------------------ exact
@@ -266,22 +268,29 @@ def union_find_labels(edges: Iterable[tuple[int, int]]) -> dict[int, int]:
     return {x: find(x) for x in parent}
 
 
-def _hash_to_min_round(group: pa.Table) -> pa.Table:
-    """One hash-to-min step for one node's neighborhood C(u) (Rastogi
-    et al., "Finding Connected Components in MapReduce in Logarithmic
-    Rounds" — public algorithm): send m = min(C(u) ∪ {u}) to every
-    member, and send every member to m. Expressed as new (u, v) rows;
-    per-node labels are monotonically non-increasing, so the sum of
-    per-node minima is a valid fixpoint detector."""
-    u = int(group.column("u")[0].as_py())
-    vs = np.unique(group.column("v").to_numpy(zero_copy_only=False))
-    m = min(u, int(vs[0]))  # vs sorted by np.unique
-    members = np.union1d(vs, np.array([u], dtype=vs.dtype))
+def _hash_to_min_shard(g: pa.Table) -> pa.Table:
+    """One hash-to-min round for every node of one shard of ``u``
+    (Rastogi et al., "Finding Connected Components in MapReduce in
+    Logarithmic Rounds" — public algorithm): each node u with
+    neighborhood C(u) sends m = min(C(u) ∪ {u}) to every member, and
+    every member to m. Vectorized over the shard: one lexsort of the
+    distinct (u, member) pairs puts each node's minimum first. Per-node
+    labels are monotonically non-increasing, so the sum of per-node
+    minima is a valid fixpoint detector."""
+    u = g.column("u").to_numpy()
+    v = g.column("v").to_numpy()
+    nodes = np.unique(u)
+    u = np.concatenate([u, nodes])
+    v = np.concatenate([v, nodes])
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    new = np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])]
+    u, v = u[new], v[new]
+    starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
+    m = np.repeat(v[starts], np.diff(np.r_[starts, len(u)]))
     # (member, m) for all members  +  (m, member) for all members
-    out_u = np.concatenate([members, np.full(len(members), m, dtype=members.dtype)])
-    out_v = np.concatenate([np.full(len(members), m, dtype=members.dtype), members])
     return pa.table(
-        {"u": pa.array(out_u, pa.int64()), "v": pa.array(out_v, pa.int64())}
+        {"u": np.concatenate([v, m]), "v": np.concatenate([m, v])}
     )
 
 
@@ -301,13 +310,13 @@ def cluster_pairs(pairs_ds, max_iters: int = 32,
       the driver (the verified pair set is already LSH-bounded; 1M
       edges = 16 MB — measured ~10 s cheaper than paying ~3 shuffles ×
       O(log n) rounds of fixed exchange overhead on a tiny graph).
-    - above: distributed hash-to-min label propagation — pure
-      groupby/map_groups iterations, no Dataset.join (Ray 2.49 joins
-      spawn per-join aggregator pools that deadlock small sessions)
-      and no driver materialization; the driver sees only one
-      Sum/Count pair per round for the fixpoint check. Each round's
-      rows are bounded by the sum of component sizes (duplicate
-      clusters), not corpus size.
+    - above: distributed hash-to-min label propagation — one
+      ``by_shard`` exchange on ``u`` per round, so a round dispatches
+      at most ``SHARDS`` folds however many nodes the graph has, and
+      no driver materialization; the driver sees only one Sum/Count
+      pair per round for the fixpoint check. Each round's rows are
+      bounded by the sum of component sizes (duplicate clusters), not
+      corpus size.
     """
     import logging
 
@@ -360,31 +369,10 @@ def cluster_pairs(pairs_ds, max_iters: int = 32,
 
     rows = pairs_ds.map_batches(_orient, batch_format="pyarrow")
     prev_sig = None
-
-    # chained-exchange guard: map_groups can emit a zero-column empty
-    # block for an empty hash partition, which breaks the NEXT
-    # groupby's aggregator sort (see relational._schema_guard)
     uv_schema = pa.schema([("u", pa.int64()), ("v", pa.int64())])
-
-    def _norm(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return uv_schema.empty_table()
-        return t.select(["u", "v"]).cast(uv_schema)
-
     for _ in range(max_iters):
-        rows = rows.groupby("u").map_groups(
-            _hash_to_min_round, batch_format="pyarrow"
-        ).map_batches(_norm, batch_format="pyarrow").materialize()
-        # _norm alone is insufficient: Ray may skip map_batches on a
-        # lone empty block, letting a ZERO-COLUMN empty block (from an
-        # empty hash partition) reach the NEXT shuffle, whose
-        # aggregator then fails combining it with schema-ful blocks
-        # (intermittent, load-dependent). Equal-split repartition with
-        # k <= the measured row count leaves no empty output blocks,
-        # so the chained exchange only ever sees schema-ful input
-        # (count() is metadata-only on the materialized rows).
-        rows = rows.repartition(
-            max(1, min(rows.count(), 200))
+        rows = by_shard(
+            rows, "u", _hash_to_min_shard, uv_schema, batch_format="pyarrow"
         ).materialize()
         labels = rows.groupby("u").aggregate(Min("v"))
         agg = labels.aggregate(Sum("min(v)"), Count())
@@ -417,28 +405,12 @@ def cluster_pairs(pairs_ds, max_iters: int = 32,
 # run 30-50% duplicates => ~1e8 ids at 1e9 docs). These helpers keep a
 # drop set a Dataset end-to-end: under a LOGGED id-count threshold it is
 # shipped once via ray.put and filtered with vectorized ``is_in`` (the
-# dedup_keep / R6 broadcast anti-join); above, a shard-keyed
-# hash-exchange anti-join runs fully distributed (the dedup_minhash
-# gating pattern at relational.py:926).
+# dedup_keep / R6 broadcast anti-join); above, an anti-join on the
+# ``by_shard`` exchange runs fully distributed (the dedup_minhash
+# gating pattern).
 
 #: broadcast ceiling for drop-set ids (16 MB of int64 at the default)
 DROP_BROADCAST_MAX = 2_000_000
-
-#: shard count for the exchange fallback — a function of cluster width,
-#: not data size; raise for wider clusters (per-shard work stays
-#: vectorized regardless)
-_ANTI_SHARDS = 256
-
-
-def _shard_of_ids(ids: pa.Array) -> pa.Array:
-    """Multiply-shift hash shard of an int64 id column (numpy uint64,
-    no Python loop) — id distributions are caller-controlled, so plain
-    modulo would inherit their skew."""
-    if isinstance(ids, pa.ChunkedArray):
-        ids = ids.combine_chunks()
-    x = ids.cast(pa.int64()).to_numpy(zero_copy_only=False).astype(np.uint64)
-    h = (x * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-    return pa.array((h % np.uint64(_ANTI_SHARDS)).astype(np.int64))
 
 
 def anti_member_filter(ds, cols, drop_ds, drop_col="doc_id",
@@ -456,8 +428,7 @@ def anti_member_filter(ds, cols, drop_ds, drop_col="doc_id",
     slim = drop_ds.select_columns([drop_col]).materialize()
     n = slim.count()
     if n == 0:
-        return ds  # nothing to drop — and an empty union side would
-        # otherwise risk the zero-column-block shuffle hazard below
+        return ds  # nothing to drop
     if n <= broadcast_max:
         log.info("anti_member_filter: %d drop ids — broadcast path", n)
         record("anti_member_filter", "broadcast", n_drop_ids=n)
@@ -493,25 +464,19 @@ def anti_member_filter(ds, cols, drop_ds, drop_col="doc_id",
 def _anti_exchange(ds, col, drop_ds, drop_col, schema: pa.Schema):
     """One-column distributed anti-join: drop every ``ds`` row whose
     ``col`` value appears in ``drop_ds[drop_col]``.  Both sides are
-    re-keyed onto a bounded hash shard and co-grouped ONCE; membership
-    inside each shard is a vectorized ``is_in`` — one pandas-free UDF
-    call per SHARD (bounded), never per key (the qa_pairs /
-    itemset_pairs high-cardinality-groupby avoidance).  Expressed with
-    groupby/map_groups rather than ``Dataset.join`` because Ray 2.49
-    joins spawn per-join aggregator pools that deadlock small sessions
-    (see relational._minhash_verify_shuffle)."""
+    keyed on the id and co-grouped ONCE on the ``by_shard`` exchange;
+    membership inside each shard is a vectorized ``is_in`` — one
+    pandas-free UDF call per SHARD (bounded), never per key (the
+    qa_pairs / itemset_pairs high-cardinality-groupby avoidance)."""
     names = [f.name for f in schema]
     mixed = pa.schema(
-        [("__shard", pa.int64()), ("__k", pa.int64()),
-         ("__drop", pa.int8())]
+        [("__k", pa.int64()), ("__drop", pa.int8())]
         + [(f.name, f.type) for f in schema]
     )
 
     def _lhs(t: pa.Table) -> pa.Table:
-        k = t.column(col).combine_chunks().cast(pa.int64())
         arrs = {
-            "__shard": _shard_of_ids(k),
-            "__k": k,
+            "__k": t.column(col).combine_chunks().cast(pa.int64()),
             "__drop": pa.array(np.zeros(len(t), np.int8)),
         }
         for nm in names:
@@ -519,44 +484,26 @@ def _anti_exchange(ds, col, drop_ds, drop_col, schema: pa.Schema):
         return pa.table(arrs).cast(mixed)
 
     def _rhs(t: pa.Table) -> pa.Table:
-        k = t.column(drop_col).combine_chunks().cast(pa.int64())
         arrs = {
-            "__shard": _shard_of_ids(k),
-            "__k": k,
+            "__k": t.column(drop_col).combine_chunks().cast(pa.int64()),
             "__drop": pa.array(np.ones(len(t), np.int8)),
         }
         for f in schema:
             arrs[f.name] = pa.nulls(len(t), f.type)
         return pa.table(arrs).cast(mixed)
 
-    both = ds.map_batches(_lhs, batch_format="pyarrow").union(
-        drop_ds.map_batches(_rhs, batch_format="pyarrow")
-    )
-    # empty-block guard before the keyed exchange: Ray may skip
-    # map_batches on a lone empty block, letting a block WITHOUT the
-    # __shard column reach the hash-shuffle aggregator, whose sort then
-    # fails ("No match for FieldRef.Name(__shard)") — surfaced by the
-    # hypothesis sweep, same diagnosis as cluster_pairs. Equal-split
-    # repartition bounded by the measured row count leaves no empty
-    # blocks; the union payload is already slim (ids + 3 tag columns).
-    both = both.materialize()
-    both = both.repartition(max(1, min(both.count(), 200))).materialize()
-
     def _per_shard(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return schema.empty_table()
         is_drop = pc.equal(g.column("__drop"), 1)
         drop_vals = g.filter(is_drop).column("__k").combine_chunks()
         lhs = g.filter(pc.invert(is_drop))
-        if len(drop_vals):
-            lhs = lhs.filter(
-                pc.invert(pc.is_in(lhs.column("__k"), value_set=drop_vals))
-            )
-        return lhs.select(names).cast(schema)
+        return lhs.filter(
+            pc.invert(pc.is_in(lhs.column("__k"), value_set=drop_vals))
+        )
 
-    return both.groupby("__shard").map_groups(
-        _per_shard, batch_format="pyarrow"
+    both = ds.map_batches(_lhs, batch_format="pyarrow").union(
+        drop_ds.map_batches(_rhs, batch_format="pyarrow")
     )
+    return by_shard(both, "__k", _per_shard, schema, batch_format="pyarrow")
 
 
 def tag_disjoint_stages(base_ds, id_col, drops,
@@ -619,8 +566,7 @@ def tag_disjoint_stages(base_ds, id_col, drops,
     rows = base_ds.map_batches(_base, batch_format="pyarrow")
     for s, col, stage, cnt in slims:
         if cnt == 0:
-            continue  # an empty union side risks the zero-column-block
-            # shuffle hazard (see _anti_exchange)
+            continue
 
         def _mark(t: pa.Table, _c=col, _st=stage) -> pa.Table:
             ids = t.column(_c).combine_chunks().cast(pa.int64())
@@ -630,9 +576,6 @@ def tag_disjoint_stages(base_ds, id_col, drops,
             )
 
         rows = rows.union(s.map_batches(_mark, batch_format="pyarrow"))
-    # same empty-block guard as _anti_exchange before the keyed exchange
-    rows = rows.materialize()
-    rows = rows.repartition(max(1, min(rows.count(), 200))).materialize()
     agg = rows.groupby(id_col).aggregate(Max("stage"))
     return agg.map_batches(
         lambda t: pa.table(

@@ -20,7 +20,10 @@ single streaming ``map_batches`` (no exchange at all);
 ``stratified_sample`` exchanges (lang, doc_id, hash) triples already
 cut to k-per-group-per-batch; ``word_diversity`` is per-row local and
 emits four scalars per document; ``dedup_against_index`` exchanges
-(doc_id, md5 digest, parity, shard) rows on a bounded digest shard.
+(doc_id, md5 digest, parity) rows on the digest. Every keyed fold
+whose key grows with the data (conversations, digests, grams, fps)
+runs on ``functions.exchange.by_shard``: one UDF call per shard, never
+per key.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..functions.exchange import by_shard
 from . import relational as _rel
 from .relational import _i64_away_np, _read
 
@@ -246,30 +250,24 @@ def q_dedup_against_index(sf_dir: str, _chaos_hook=None):
 
     Deterministic stand-in for "yesterday's corpus vs today's crawl":
     corpus = even doc_ids, incoming = odd doc_ids. One ``map_batches``
-    emits (doc_id, md5 digest, parity, bounded shard of the digest) —
-    hex digests only, never text; one ``groupby(shard).map_groups``
-    then keeps the odd rows whose digest is absent from the shard's
-    even rows (a vectorized ``is_in`` per shard, the
-    ``functions.dedup._anti_exchange`` shape). The key is the digest
+    emits (doc_id, md5 digest, parity) — hex digests only, never text;
+    one ``by_shard`` exchange on the digest then keeps the odd rows
+    whose digest is absent from the shard's even rows (a vectorized
+    ``is_in`` per shard, the ``functions.dedup._anti_exchange``
+    shape). The key is the digest
     string itself, so the answer is exact. Every stage is a stateless
     Ray Data task: worker loss is covered by task retries (lineage) and
     no index state exists to lose. ``_chaos_hook()`` is the
     fault-injection seam: it runs inside the per-shard UDF, in the
     worker. Emits ``doc_id`` only."""
-    from ..functions.dedup import _ANTI_SHARDS, content_hash_batch
-    from .relational import _schema_guard
-
-    out_schema = pa.schema([("doc_id", pa.int64())])
+    from ..functions.dedup import content_hash_batch
 
     def _key(batch: pa.Table) -> pa.Table:
-        h = content_hash_batch(batch).column("content_hash")
-        shard = [int(d[:8], 16) % _ANTI_SHARDS for d in h.to_pylist()]
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
-                "digest": h,
+                "digest": content_hash_batch(batch).column("content_hash"),
                 "parity": pc.bit_wise_and(batch.column("doc_id"), 1),
-                "shard": pa.array(shard, pa.int64()),
             }
         )
 
@@ -280,14 +278,12 @@ def q_dedup_against_index(sf_dir: str, _chaos_hook=None):
         seen = g.filter(pc.invert(odd)).column("digest").combine_chunks()
         new = g.filter(odd)
         keep = pc.invert(pc.is_in(new.column("digest"), value_set=seen))
-        return new.filter(keep).select(["doc_id"]).cast(out_schema)
+        return new.filter(keep)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return _schema_guard(
-        ds.map_batches(_key, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_unseen, batch_format="pyarrow"),
-        out_schema,
+    return by_shard(
+        ds.map_batches(_key, batch_format="pyarrow"), "digest", _unseen,
+        pa.schema([("doc_id", pa.int64())]), batch_format="pyarrow",
     )
 
 
@@ -398,20 +394,17 @@ GROUP BY doc_id
 # turns into one training sequence" op; an ORDER-SENSITIVE aggregate)
 # =====================================================================
 
-_PACK_SHARDS = 64
-
-
 def q_pack_conversations(sf_dir: str):
     """Concatenate each conversation's roles in turn order into one
     sequence string — the order-sensitive aggregate behind packing
     multi-turn transcripts into training examples (DuckDB twin:
     ``string_agg(... ORDER BY turn_idx)``).
 
-    Shape: shuffle key is the conv-HASH SHARD, not conv_id
-    (per-conversation groups are tiny and UDF overhead would
+    Shape: a ``by_shard`` exchange on conv_id, not a per-conv_id
+    groupby (per-conversation groups are tiny and UDF overhead would
     dominate); each shard group gets ONE vectorized
     ``sort_by`` + a C-level pandas groupby-join. The exchange carries
-    (conv_id, turn_idx, role, shard) — no document text.
+    (conv_id, turn_idx, role) — no document text.
 
     Partitioning assumption (documented per SURVEY.md "custom
     operators"): a conversation must stay WHOLE for ordered packing,
@@ -423,20 +416,12 @@ def q_pack_conversations(sf_dir: str):
     import glob
     import os
 
-    from ..stages.ordering import _conv_hash
     from ..transcripts import ensure_generated
     from .relational import _size_for
 
     shards_dir = ensure_generated(_size_for(sf_dir))
     paths = sorted(glob.glob(os.path.join(shards_dir, "part-*.parquet")))
     ds = ray.data.read_parquet(paths, columns=["conv_id", "turn_idx", "role"])
-
-    def _shard(batch: pa.Table) -> pa.Table:
-        h = _conv_hash(batch.column("conv_id"))
-        return batch.append_column(
-            "shard",
-            pa.array((h % np.uint64(_PACK_SHARDS)).astype(np.int32)),
-        )
 
     def _pack(group: pa.Table) -> pa.Table:
         g = group.sort_by(
@@ -448,15 +433,18 @@ def q_pack_conversations(sf_dir: str):
             .agg(role_seq=("role", " ".join), n_turns=("role", "size"))
             .reset_index()
         )
-        out["n_turns"] = out["n_turns"].astype("int64")
-        return pa.Table.from_pandas(
-            out[["conv_id", "role_seq", "n_turns"]], preserve_index=False
-        )
+        return out
 
-    return (
-        ds.map_batches(_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_pack, batch_format="pyarrow")
+    return by_shard(
+        ds, "conv_id", _pack,
+        pa.schema(
+            [
+                ("conv_id", pa.string()),
+                ("role_seq", pa.string()),
+                ("n_turns", pa.int64()),
+            ]
+        ),
+        batch_format="pyarrow",
     )
 
 
@@ -470,25 +458,17 @@ _CF_MIN_TURNS, _CF_MAX_TURNS = 3, 50
 def _conv_role_stats(sf_dir: str):
     """(conv_id, n_turns, n_user, n_assistant, role_seq) — the shared
     per-conversation reduction behind the two gates below.  Same
-    shard-keyed shape as pack_conversations: the exchange carries
-    (conv_id, turn_idx, role, shard), never text."""
+    ``by_shard`` shape as pack_conversations: the exchange carries
+    (conv_id, turn_idx, role), never text."""
     import glob
     import os
 
-    from ..stages.ordering import _conv_hash
     from ..transcripts import ensure_generated
     from .relational import _size_for
 
     shards_dir = ensure_generated(_size_for(sf_dir))
     paths = sorted(glob.glob(os.path.join(shards_dir, "part-*.parquet")))
     ds = ray.data.read_parquet(paths, columns=["conv_id", "turn_idx", "role"])
-
-    def _shard(batch: pa.Table) -> pa.Table:
-        h = _conv_hash(batch.column("conv_id"))
-        return batch.append_column(
-            "shard",
-            pa.array((h % np.uint64(_PACK_SHARDS)).astype(np.int32)),
-        )
 
     def _stats(group: pa.Table) -> pa.Table:
         g = group.sort_by(
@@ -509,14 +489,20 @@ def _conv_role_stats(sf_dir: str):
             )
             .reset_index()
         )
-        for c in ("n_turns", "n_user", "n_assistant"):
-            out[c] = out[c].astype("int64")
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return out
 
-    return (
-        ds.map_batches(_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_stats, batch_format="pyarrow")
+    return by_shard(
+        ds, "conv_id", _stats,
+        pa.schema(
+            [
+                ("conv_id", pa.string()),
+                ("n_turns", pa.int64()),
+                ("n_user", pa.int64()),
+                ("n_assistant", pa.int64()),
+                ("role_seq", pa.string()),
+            ]
+        ),
+        batch_format="pyarrow",
     )
 
 
@@ -831,11 +817,12 @@ def q_pack_budget(sf_dir: str):
     cumsum inside one group) this is a GLOBAL ordered scan, built as
     the classic two-phase distributed prefix sum:
 
-    1. range-shard by ``doc_id // _PACK_RANGE`` (range partitioning
-       preserves the global order across shards); per-shard token
-       totals → the driver reduces shard_count numbers into prefix
-       offsets (bounded by shard count, not rows) → broadcast;
-    2. per-shard local cumsum + offset, one vectorized pass per group.
+    1. range ``doc_id // _PACK_RANGE`` (range partitioning preserves
+       the global order across ranges); per-range token totals → the
+       driver reduces range_count numbers into prefix offsets (bounded
+       by range count, not rows) → broadcast;
+    2. a ``by_shard`` exchange on the range id; per-range local cumsum
+       + offset, one vectorized pass per shard.
 
     Partitioning assumption (documented): range sharding by doc_id
     assumes roughly uniform id density; at scale use ntile-style range
@@ -848,36 +835,36 @@ def q_pack_budget(sf_dir: str):
     def _count(batch: pa.Table) -> pa.Table:
         rows, _ = _explode_tokens(batch)
         n = np.bincount(rows, minlength=len(batch)).astype("int64")
-        shard = (
+        rng = (
             batch.column("doc_id").to_numpy(zero_copy_only=False)
             // _PACK_RANGE
         )
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
-                "shard": pa.array(shard, pa.int64()),
+                "rng": pa.array(rng, pa.int64()),
                 "n_tokens": pa.array(n),
             }
         )
 
     counted = ds.map_batches(_count, batch_format="pyarrow")
-    shard_sums = (
-        counted.select_columns(["shard", "n_tokens"])
-        .groupby("shard")
+    range_sums = (
+        counted.select_columns(["rng", "n_tokens"])
+        .groupby("rng")
         .aggregate(Sum("n_tokens", alias_name="tot"))
         .take_all()
-    )  # shard-count rows only
+    )  # range-count rows only
     offsets: dict[int, int] = {}
     acc = 0
-    for r in sorted(shard_sums, key=lambda r: r["shard"]):
-        offsets[r["shard"]] = acc
+    for r in sorted(range_sums, key=lambda r: r["rng"]):
+        offsets[r["rng"]] = acc
         acc += r["tot"]
     offsets_ref = ray.put(offsets)
 
     def _assign(group: pd.DataFrame) -> pd.DataFrame:
         offs = ray.get(offsets_ref)
         g = group.sort_values("doc_id")
-        cum = offs[int(g["shard"].iloc[0])] + g["n_tokens"].cumsum()
+        cum = g["rng"].map(offs) + g.groupby("rng")["n_tokens"].cumsum()
         start = cum - g["n_tokens"]
         return pd.DataFrame(
             {
@@ -887,7 +874,16 @@ def q_pack_budget(sf_dir: str):
             }
         )
 
-    return counted.groupby("shard").map_groups(_assign, batch_format="pandas")
+    return by_shard(
+        counted, "rng", _assign,
+        pa.schema(
+            [
+                ("doc_id", pa.int64()),
+                ("n_tokens", pa.int64()),
+                ("pack_id", pa.int64()),
+            ]
+        ),
+    )
 
 
 SQL_PACK_BUDGET = rf"""
@@ -1138,15 +1134,14 @@ def q_turn_alternation(sf_dir: str):
     that alternate cleanly — the structural QA gate chat training
     data goes through before packing.
 
-    Shape: identical exchange to ``pack_conversations`` (conv-hash
-    SHARD key, conversations stay whole, no text payload); inside a
+    Shape: identical exchange to ``pack_conversations`` (``by_shard``
+    on conv_id, conversations stay whole, no text payload); inside a
     shard group, one vectorized ``sort_by`` then shifted-array
     compares with a conv-boundary mask — no per-row Python, no
     per-conv UDF calls."""
     import glob
     import os
 
-    from ..stages.ordering import _conv_hash
     from ..transcripts import ensure_generated
     from .relational import _size_for
 
@@ -1154,33 +1149,32 @@ def q_turn_alternation(sf_dir: str):
     paths = sorted(glob.glob(os.path.join(shards_dir, "part-*.parquet")))
     ds = ray.data.read_parquet(paths, columns=["conv_id", "turn_idx", "role"])
 
-    def _shard(batch: pa.Table) -> pa.Table:
-        h = _conv_hash(batch.column("conv_id"))
-        return batch.append_column(
-            "shard", pa.array((h % np.uint64(_PACK_SHARDS)).astype(np.int32))
-        )
-
     def _alt(group: pa.Table) -> pa.Table:
         g = group.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
         conv = g.column("conv_id").to_numpy(zero_copy_only=False)
         role = g.column("role").to_numpy(zero_copy_only=False)
         viol = np.zeros(len(conv), dtype=np.int64)
-        if len(conv) > 1:
-            viol[1:] = (conv[1:] == conv[:-1]) & (role[1:] == role[:-1])
+        viol[1:] = (conv[1:] == conv[:-1]) & (role[1:] == role[:-1])
         df = pd.DataFrame({"conv_id": conv, "viol": viol})
         out = (
             df.groupby("conv_id", sort=False)
             .agg(n_turns=("viol", "size"), violations=("viol", "sum"))
             .reset_index()
         )
-        out["n_turns"] = out["n_turns"].astype("int64")
         out["alternating"] = (out["violations"] == 0).astype("int64")
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return out
 
-    return (
-        ds.map_batches(_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_alt, batch_format="pyarrow")
+    return by_shard(
+        ds, "conv_id", _alt,
+        pa.schema(
+            [
+                ("conv_id", pa.string()),
+                ("n_turns", pa.int64()),
+                ("violations", pa.int64()),
+                ("alternating", pa.int64()),
+            ]
+        ),
+        batch_format="pyarrow",
     )
 
 
@@ -1199,7 +1193,7 @@ def q_context_windows(sf_dir: str):
     conversational fine-tuning pipeline. Window truncates at the
     conversation start (mirror of ``ROWS N PRECEDING``).
 
-    Shape: the pack_conversations pattern — conv-hash SHARD shuffle
+    Shape: the pack_conversations pattern — ``by_shard`` on conv_id
     (conversations stay whole; per-conv groups are too small for
     per-group UDFs), one vectorized sort per shard, then the window
     built from SHIFTED numpy arrays with conv-boundary masks (no
@@ -1208,7 +1202,6 @@ def q_context_windows(sf_dir: str):
     import glob
     import os
 
-    from ..stages.ordering import _conv_hash
     from ..transcripts import ensure_generated
     from .relational import _size_for
 
@@ -1216,17 +1209,13 @@ def q_context_windows(sf_dir: str):
     paths = sorted(glob.glob(os.path.join(shards_dir, "part-*.parquet")))
     ds = ray.data.read_parquet(paths, columns=["conv_id", "turn_idx", "text"])
 
-    def _shard(batch: pa.Table) -> pa.Table:
-        h = _conv_hash(batch.column("conv_id"))
+    def _truncate(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "conv_id": batch.column("conv_id"),
                 "turn_idx": batch.column("turn_idx"),
                 "t80": pc.utf8_slice_codeunits(
                     batch.column("text"), 0, _CTX_CHARS
-                ),
-                "shard": pa.array(
-                    (h % np.uint64(_PACK_SHARDS)).astype(np.int32)
                 ),
             }
         )
@@ -1254,10 +1243,16 @@ def q_context_windows(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_window, batch_format="pyarrow")
+    return by_shard(
+        ds.map_batches(_truncate, batch_format="pyarrow"), "conv_id", _window,
+        pa.schema(
+            [
+                ("conv_id", pa.string()),
+                ("turn_idx", pa.int32()),
+                ("ctx", pa.string()),
+            ]
+        ),
+        batch_format="pyarrow",
     )
 
 
@@ -1398,15 +1393,6 @@ def q_dedup_merge(sf_dir: str):
             ["content_hash", "doc_id", "source"]
         )
 
-    def _hash_shard(t: pa.Table) -> pa.Table:
-        import zlib
-
-        h = t.column("content_hash").to_pylist()
-        sh = np.array(
-            [zlib.crc32(x.encode()) & 63 for x in h], dtype=np.int64
-        )
-        return t.append_column("shard", pa.array(sh))
-
     def _merge_shard(g: pd.DataFrame) -> pd.DataFrame:
         # per-SHARD vectorized grouping: keeper/size via C aggregates;
         # the sources string is one C-dispatched join per hash over the
@@ -1433,13 +1419,9 @@ def q_dedup_merge(sf_dir: str):
             }
         )
 
-    from .relational import _schema_guard
-
-    return _schema_guard(
-        ds.map_batches(_hash, batch_format="pyarrow")
-        .map_batches(_hash_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_merge_shard, batch_format="pandas"),
+    return by_shard(
+        ds.map_batches(_hash, batch_format="pyarrow"), "content_hash",
+        _merge_shard,
         pa.schema(
             [
                 ("content_md5", pa.string()),
@@ -1591,7 +1573,6 @@ FROM e GROUP BY doc_id
 #: uint64 numpy kernel (VERDICT r3 #3 — no Python big-int loop)
 _STRUCT_M = (1 << 61) - 1
 _STRUCT_M64 = np.uint64(_STRUCT_M)
-_STRUCT_SHARDS = 256
 
 #: md5-of-(role|template) memo — the vocab is tiny; persists across
 #: batches because Ray reuses worker processes
@@ -1691,8 +1672,6 @@ def q_dedup_conv_structure(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    from .relational import _schema_guard
-
     sums = (
         ds.map_batches(_partial, batch_format="pyarrow")
         .groupby("conv_id")
@@ -1700,8 +1679,7 @@ def q_dedup_conv_structure(sf_dir: str):
     )
 
     def _fin(t: pa.Table) -> pa.Table:
-        # Σ s_b = (Σ hi_b)·2^32 + Σ lo_b — one vectorized mod closes it;
-        # shard-of-fp re-keys the grouping onto bounded cardinality
+        # Σ s_b = (Σ hi_b)·2^32 + Σ lo_b — one vectorized mod closes it
         hi = _red61(
             t.column("sum(s_hi)").to_numpy(zero_copy_only=False).astype(
                 np.uint64
@@ -1713,12 +1691,8 @@ def q_dedup_conv_structure(sf_dir: str):
             )
         )
         fp = _red61(_mulmod61(np.uint64(1) << np.uint64(32), hi) + lo)
-        shard = (
-            (fp * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-        ) % np.uint64(_STRUCT_SHARDS)
         return pa.table(
             {
-                "shard": pa.array(shard.astype(np.int64)),
                 "conv_id": t.column("conv_id"),
                 "fp": pa.array(fp.astype(np.int64)),
             }
@@ -1741,8 +1715,8 @@ def q_dedup_conv_structure(sf_dir: str):
             }
         )
 
-    return _schema_guard(
-        fps.groupby("shard").map_groups(_group_shard, batch_format="pandas"),
+    return by_shard(
+        fps, "fp", _group_shard,
         pa.schema(
             [
                 ("conv_id", pa.string()),
@@ -1783,21 +1757,17 @@ FROM f JOIN g USING (fp)
 # Prompt/response pair extraction from transcripts
 # =====================================================================
 
-_QA_SHARDS = 256
-
-
 def q_qa_pairs(sf_dir: str):
     """Build (prompt → response) training pairs from the transcripts
     table: every user turn whose IMMEDIATELY FOLLOWING turn (by
     turn_idx within the conversation) is an assistant turn yields one
     pair — the instruction-tuning extraction step that follows
-    main-content extraction.  Conversations are re-keyed onto a
-    bounded crc32 shard (conv-complete by construction) and paired
-    with one vectorized adjacent-row comparison per shard — the same
-    high-cardinality-groupby avoidance as ``itemset_pairs``; text
-    never shuffles (only lengths and timestamps ride along)."""
-    import zlib
-
+    main-content extraction.  Conversations go through the
+    ``by_shard`` exchange on conv_id (conv-complete by construction)
+    and are paired with one vectorized adjacent-row comparison per
+    shard — the same high-cardinality-groupby avoidance as
+    ``itemset_pairs``; text never shuffles (only lengths and
+    timestamps ride along)."""
     from ..transcripts import ensure_generated
     from .extraction import read_transcripts
     from .relational import _size_for
@@ -1807,16 +1777,9 @@ def q_qa_pairs(sf_dir: str):
     )
 
     def _partial(batch: pa.Table) -> pa.Table:
-        conv = batch.column("conv_id")
-        # crc per UNIQUE conv id (convs repeat heavily within a block)
-        codes, uvals = pd.factorize(conv.to_pandas(), sort=False)
-        shard_of = np.array(
-            [zlib.crc32(u.encode()) % _QA_SHARDS for u in uvals], dtype=np.int64
-        )
         return pa.table(
             {
-                "shard": pa.array(shard_of[codes]),
-                "conv_id": conv,
+                "conv_id": batch.column("conv_id"),
                 "turn_idx": batch.column("turn_idx"),
                 "role": batch.column("role"),
                 "chars": pc.cast(
@@ -1834,12 +1797,9 @@ def q_qa_pairs(sf_dir: str):
         ti = d["turn_idx"].to_numpy(np.int64)
         ch = d["chars"].to_numpy(np.int64)
         us = d["us"].to_numpy(np.int64)
-        if len(d) < 2:
-            m = np.zeros(0, dtype=bool)
-        else:
-            m = (conv[:-1] == conv[1:]) & (role[:-1] == "user") & (
-                role[1:] == "assistant"
-            )
+        m = (conv[:-1] == conv[1:]) & (role[:-1] == "user") & (
+            role[1:] == "assistant"
+        )
         i = np.flatnonzero(m)
         gap = us[i + 1] - us[i]
         return pd.DataFrame(
@@ -1854,10 +1814,18 @@ def q_qa_pairs(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_pairs, batch_format="pandas")
+    return by_shard(
+        ds.map_batches(_partial, batch_format="pyarrow"), "conv_id", _pairs,
+        pa.schema(
+            [
+                ("conv_id", pa.string()),
+                ("user_turn_idx", pa.int64()),
+                ("assistant_turn_idx", pa.int64()),
+                ("prompt_chars", pa.int64()),
+                ("response_chars", pa.int64()),
+                ("gap_seconds", pa.int64()),
+            ]
+        ),
     )
 
 
@@ -2287,8 +2255,8 @@ def q_ngram_novelty(sf_dir: str):
     novelty_e6) over docs with >= 3 tokens; novelty_e6 is the exact
     truncating ``1e6 * novel // n`` integer.
 
-    Scale shape: per-batch map emits DISTINCT (gram-shard, gram,
-    doc_id) rows; ONE bounded 256-shard exchange co-locates every
+    Scale shape: per-batch map emits DISTINCT (gram, doc_id) rows;
+    ONE ``by_shard`` exchange on the gram co-locates every
     occurrence of a gram, and one vectorized pandas pass per shard
     computes each gram's min doc_id AND attributes novelty to that
     doc in the same pass (no second gram-keyed join); a final Sum
@@ -2298,15 +2266,10 @@ def q_ngram_novelty(sf_dir: str):
     (wraps only past ~9.2e12 grams in one doc)."""
     from ray.data.aggregate import Sum
 
-    from .relational import _schema_guard
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def _grams(batch: pa.Table) -> pa.Table:
-        import zlib
-
         ids_out: list[int] = []
-        shards: list[int] = []
         grams: list[str] = []
         for did, t in zip(
             batch.column("doc_id").to_pylist(),
@@ -2320,11 +2283,9 @@ def q_ngram_novelty(sf_dir: str):
             }
             for g in seen:
                 ids_out.append(did)
-                shards.append(zlib.crc32(g.encode()) & 0xFF)
                 grams.append(g)
         return pa.table(
             {
-                "gshard": pa.array(shards, pa.int64()),
                 "gram": pa.array(grams, pa.string()),
                 "doc_id": pa.array(ids_out, pa.int64()),
             }
@@ -2340,14 +2301,10 @@ def q_ngram_novelty(sf_dir: str):
                 "novel": (g["doc_id"] == first).astype("int64"),
             }
         )
-        agg = out.groupby("doc_id", sort=False, as_index=False).sum()
-        agg["n"] = agg["n"].astype("int64")
-        return agg
+        return out.groupby("doc_id", sort=False, as_index=False).sum()
 
-    partials = _schema_guard(
-        ds.map_batches(_grams, batch_format="pyarrow")
-        .groupby("gshard")
-        .map_groups(_fold, batch_format="pandas"),
+    partials = by_shard(
+        ds.map_batches(_grams, batch_format="pyarrow"), "gram", _fold,
         pa.schema(
             [("doc_id", pa.int64()), ("n", pa.int64()), ("novel", pa.int64())]
         ),

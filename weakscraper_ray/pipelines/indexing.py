@@ -34,6 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.exchange import by_shard
 from .relational import _i64_away_np, _read
 
 # =====================================================================
@@ -202,7 +203,11 @@ def levenshtein(a: str, b: str) -> int:
 def q_dedup_edit(sf_dir: str):
     """Near-duplicate pairs by blocked edit distance: docs sharing a
     20-char prefix whose 120-char windows are within Levenshtein
-    _EDIT_MAX. Emits (doc_a, doc_b, edit_dist) with doc_a < doc_b."""
+    _EDIT_MAX. Emits (doc_a, doc_b, edit_dist) with doc_a < doc_b.
+
+    The exchange is ``by_shard`` on the prefix, so the UDF runs once
+    per shard, not once per distinct prefix; each fold iterates its
+    shard's prefix blocks in-process."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def _block(batch: pa.Table) -> pa.Table:
@@ -215,18 +220,18 @@ def q_dedup_edit(sf_dir: str):
             }
         )
 
-    def _pairs(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values("doc_id")
-        ids = g["doc_id"].to_numpy()
-        txt = g["t"].to_numpy()
+    def _pairs(shard: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b, out_d = [], [], []
-        for i in range(len(g)):
-            for j in range(i + 1, len(g)):
-                d = levenshtein(txt[i], txt[j])
-                if d <= _EDIT_MAX:
-                    out_a.append(ids[i])
-                    out_b.append(ids[j])
-                    out_d.append(d)
+        for _, g in shard.sort_values("doc_id").groupby("pfx", sort=False):
+            ids = g["doc_id"].to_numpy()
+            txt = g["t"].to_numpy()
+            for i in range(len(g)):
+                for j in range(i + 1, len(g)):
+                    d = levenshtein(txt[i], txt[j])
+                    if d <= _EDIT_MAX:
+                        out_a.append(ids[i])
+                        out_b.append(ids[j])
+                        out_d.append(d)
         return pd.DataFrame(
             {
                 "doc_a": np.array(out_a, dtype=np.int64),
@@ -235,10 +240,15 @@ def q_dedup_edit(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(_block, batch_format="pyarrow")
-        .groupby("pfx")
-        .map_groups(_pairs, batch_format="pandas")
+    return by_shard(
+        ds.map_batches(_block, batch_format="pyarrow"), "pfx", _pairs,
+        pa.schema(
+            [
+                ("doc_a", pa.int64()),
+                ("doc_b", pa.int64()),
+                ("edit_dist", pa.int64()),
+            ]
+        ),
     )
 
 
@@ -418,12 +428,12 @@ def q_dup_ngram_fraction(sf_dir: str):
     oracle stays float-free.
 
     Shape: distinct (gram, doc_id) pairs per batch (a doc lives in one
-    row, so batch-local distinct is global) → one exchange keyed by
-    the gram's HASH SHARD (the pack_conversations lesson: per-gram
-    groups are tiny, so the UDF runs once per shard and a C-level
-    pandas groupby inside tags every member with ``dup = |gram
-    group| >= 2`` — 64 UDF calls instead of one per distinct gram;
-    measured 17 s → ~3 s at sf0.01) → one ``groupby(doc_id)``
+    row, so batch-local distinct is global) → one ``by_shard`` exchange
+    on the gram (the pack_conversations lesson: per-gram groups are
+    tiny, so the UDF runs once per shard and a C-level pandas groupby
+    inside tags every member with ``dup = |gram group| >= 2`` — one
+    UDF call per shard instead of one per distinct gram; measured
+    17 s → ~3 s at sf0.01) → one ``groupby(doc_id)``
     Sum/Count. No joins, no broadcast; the exchanges carry (gram, id)
     and (id, flag) rows only. At 100 TB the gram string would be a
     64-bit hash (documented scale path — the string key keeps the
@@ -433,7 +443,6 @@ def q_dup_ngram_fraction(sf_dir: str):
     from ray.data.aggregate import Count, Sum
 
     from .curation import _explode_tokens
-    from .relational import _schema_guard
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     k = _DUPGRAM_K
@@ -455,15 +464,9 @@ def q_dup_ngram_fraction(sf_dir: str):
         df = pd.DataFrame(
             {"gram": gram[valid], "row": rows[: -(k - 1)][valid]}
         ).drop_duplicates()
-        grams = df["gram"].to_numpy()
         return pa.table(
             {
-                "gram": pa.array(grams, pa.string()),
-                "shard": pa.array(
-                    (pd.util.hash_array(grams.astype("O")) % 64).astype(
-                        "int64"
-                    )
-                ),
+                "gram": pa.array(df["gram"].to_numpy(), pa.string()),
                 "doc_id": pa.array(
                     doc_ids[df["row"].to_numpy()], pa.int64()
                 ),
@@ -480,10 +483,8 @@ def q_dup_ngram_fraction(sf_dir: str):
             }
         )
 
-    tagged = _schema_guard(
-        ds.map_batches(_pairs, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_tag, batch_format="pandas"),
+    tagged = by_shard(
+        ds.map_batches(_pairs, batch_format="pyarrow"), "gram", _tag,
         pa.schema([("doc_id", pa.int64()), ("dup", pa.int64())]),
     )
     agg = tagged.groupby("doc_id").aggregate(

@@ -43,6 +43,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.exchange import by_shard
 from .relational import _read
 
 # --------------------------------------------------------------- HLL
@@ -97,8 +98,8 @@ def q_hll_exact(sf_dir: str):
 
     Distributed shape: per-batch distinct → ≤m (bucket, rho) partials,
     an exchange-free map_batches tree-fold (Max is associative), tiny
-    driver fold.  ``exact_distinct`` re-keys per-batch uniques onto a
-    bounded shard purely for the audit column.
+    driver fold.  ``exact_distinct`` runs per-batch uniques through
+    the ``by_shard`` exchange purely for the audit column.
 
     Contrast ``approx_distinct_users`` (relational.py:2109), the
     classic float-estimate HLL that can only be rows-only checked
@@ -156,21 +157,19 @@ def q_hll_exact(sf_dir: str):
 
     # audit column: exact distinct. NOT ``groupby(k).count().count()``
     # — Ray's hash aggregate degrades on the 147k-key cardinality
-    # (measured 5.7 s vs 1.6 s at sf0.1) — re-key per-batch uniques
-    # onto a bounded shard (k % 256) and nunique inside the shard.
-    def _shard_uniq(t: pa.Table) -> pa.Table:
-        k = np.unique(t.column("l_orderkey").to_numpy())
-        return pa.table(
-            {"shard": pa.array((k % 256).astype(np.int64)), "k": pa.array(k)}
-        )
+    # (measured 5.7 s vs 1.6 s at sf0.1) — run per-batch uniques
+    # through the by_shard exchange and nunique inside each shard.
+    def _uniq(t: pa.Table) -> pa.Table:
+        return pa.table({"k": np.unique(t.column("l_orderkey").to_numpy())})
 
     def _shard_nunique(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"n": [int(g["k"].nunique())]})
+        return pd.DataFrame({"n": [g["k"].nunique()]})
 
     exact = int(
-        ds.map_batches(_shard_uniq, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_shard_nunique, batch_format="pandas")
+        by_shard(
+            ds.map_batches(_uniq, batch_format="pyarrow"), "k",
+            _shard_nunique, pa.schema([("n", pa.int64())]),
+        )
         .to_pandas()["n"]
         .sum()
     )

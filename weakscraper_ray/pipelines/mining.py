@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
+from ..functions.exchange import by_shard
 from . import relational as _rel
 from .relational import (
     _i64_away,
@@ -40,7 +41,6 @@ from .relational import (
     _minhash_verify,
     _p,
     _read,
-    _schema_guard,
 )
 
 # =====================================================================
@@ -279,7 +279,6 @@ FROM documents d LEFT JOIN agg a USING (doc_id)
 # =====================================================================
 
 _SESSION_GAP_S = 1800
-_PAIR_SHARDS = 64
 
 
 def q_event_pairs(sf_dir: str):
@@ -287,7 +286,7 @@ def q_event_pairs(sf_dir: str):
     both occur? (The association-rule / co-occurrence input.) Sessions
     follow the repo's 30-minute-gap rule (``sessionize``).
 
-    Shape: ONE exchange keyed by ``user_id % shards`` (the
+    Shape: ONE ``by_shard`` exchange on user_id (the
     pack_conversations lesson — per-user groups are tiny, so the UDF
     runs once per shard and everything inside is C-level pandas), a
     per-shard distinct (session, type) self-merge bounded by the tiny
@@ -295,17 +294,6 @@ def q_event_pairs(sf_dir: str):
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-
-    def _shard(t: pa.Table) -> pa.Table:
-        # user_id % 64 == user_id & 63 (non-negative ids, power-of-two
-        # shard count; this pyarrow has no pc.mod kernel)
-        return t.append_column(
-            "shard",
-            pc.cast(
-                pc.bit_wise_and(t.column("user_id"), _PAIR_SHARDS - 1),
-                pa.int64(),
-            ),
-        )
 
     def _pairs(shard: pd.DataFrame) -> pd.DataFrame:
         g = shard.sort_values(["user_id", "ts", "event_id"])
@@ -323,10 +311,8 @@ def q_event_pairs(sf_dir: str):
             columns={"event_type_x": "type_a", "event_type_y": "type_b"}
         )
 
-    tagged = _schema_guard(
-        ds.map_batches(_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_pairs, batch_format="pandas"),
+    tagged = by_shard(
+        ds, "user_id", _pairs,
         pa.schema(
             [("type_a", pa.string()), ("type_b", pa.string()), ("n", pa.int64())]
         ),
@@ -369,7 +355,6 @@ GROUP BY 1, 2
 # =====================================================================
 
 _OVL_K = 5
-_OVL_SHARDS = 64
 
 
 def q_source_overlap(sf_dir: str):
@@ -380,8 +365,8 @@ def q_source_overlap(sf_dir: str):
     ``dup_ngram_fraction``/the MinHash CTE, so the SQL twin is exact.
 
     Shape: per-batch distinct (gram, source) pairs (a doc lives in one
-    row, so batch-local distinct is a valid partial) → ONE exchange
-    keyed by the gram's hash shard → per-shard global dedup + a
+    row, so batch-local distinct is a valid partial) → ONE
+    ``by_shard`` exchange on the gram → per-shard global dedup + a
     self-merge per gram bounded by the source vocabulary (20 here;
     pairs/gram ≤ C(|sources|,2)) emitting per-shard pair counts →
     final groupby over ≤ |sources|² rows. At 100 TB the gram string
@@ -400,7 +385,6 @@ def q_source_overlap(sf_dir: str):
         empty = pa.table(
             {
                 "gram": pa.array([], pa.string()),
-                "shard": pa.array([], pa.int64()),
                 "source": pa.array([], pa.string()),
             }
         )
@@ -415,14 +399,9 @@ def q_source_overlap(sf_dir: str):
         ).drop_duplicates()
         if df.empty:
             return empty
-        grams = df["gram"].to_numpy()
         return pa.table(
             {
-                "gram": pa.array(grams, pa.string()),
-                "shard": pa.array(
-                    (pd.util.hash_array(grams.astype("O")) % _OVL_SHARDS
-                     ).astype("int64")
-                ),
+                "gram": pa.array(df["gram"].to_numpy(), pa.string()),
                 "source": pa.array(df["source"].to_numpy(), pa.string()),
             }
         )
@@ -437,10 +416,8 @@ def q_source_overlap(sf_dir: str):
         )
         return out.rename(columns={"source_x": "src_a", "source_y": "src_b"})
 
-    tagged = _schema_guard(
-        ds.map_batches(_grams, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_pairs, batch_format="pandas"),
+    tagged = by_shard(
+        ds.map_batches(_grams, batch_format="pyarrow"), "gram", _pairs,
         pa.schema(
             [("src_a", pa.string()), ("src_b", pa.string()), ("n", pa.int64())]
         ),
@@ -487,21 +464,12 @@ def q_event_funnel(sf_dir: str):
     """Classic ordered funnel: per user, stage 1 is the first 'view',
     stage 2 the first 'click' strictly after it, stage 3 the first
     'purchase' strictly after that; output is users reached per stage.
-    ONE exchange keyed by user-hash shard; within a shard the three
+    ONE ``by_shard`` exchange on user_id; within a shard the three
     stage times come from C-level pandas groupby-mins + merges (no
     per-user UDF), and each shard emits 3 partial-count rows."""
     from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-
-    def _shard(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "shard",
-            pc.cast(
-                pc.bit_wise_and(t.column("user_id"), _PAIR_SHARDS - 1),
-                pa.int64(),
-            ),
-        )
 
     def _funnel(shard: pd.DataFrame) -> pd.DataFrame:
         t1 = (
@@ -522,10 +490,8 @@ def q_event_funnel(sf_dir: str):
             }
         )
 
-    partials = _schema_guard(
-        ds.map_batches(_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_funnel, batch_format="pandas"),
+    partials = by_shard(
+        ds, "user_id", _funnel,
         pa.schema([("stage", pa.string()), ("n", pa.int64())]),
     )
     agg = partials.groupby("stage").aggregate(Sum("n"))

@@ -43,6 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from ..functions.exchange import by_shard
 from .relational import _i64_away_np, _read
 from .tokenizer import _WS
 
@@ -403,7 +404,8 @@ def q_edit1_join(sf_dir: str):
     name_a < name_b.
 
     Shape: distinct-name reduction → (len+1)-fold key fan-out →
-    bucket ``map_groups`` (buckets bounded by the neighborhood
+    ``by_shard`` exchange on the key, buckets iterated per shard
+    (buckets bounded by the neighborhood
     structure: alphabet x length, not corpus size) → pair dedupe
     exchange.  The oracle cross-joins the bounded distinct-name set
     with ``levenshtein()`` — the engine never does.
@@ -440,16 +442,6 @@ def q_edit1_join(sf_dir: str):
                 ns.append(name)
         return pa.table({"key": pa.array(ks), "name": pa.array(ns)})
 
-    def _key_shard(t: pa.Table) -> pa.Table:
-        import zlib
-
-        sh = np.array(
-            [zlib.crc32(k.encode()) & 255 for k in
-             t.column("key").to_pylist()],
-            dtype=np.int64,
-        )
-        return t.append_column("shard", pa.array(sh))
-
     def _bucket_pairs_shard(g: pd.DataFrame) -> pd.DataFrame:
         # one UDF call per SHARD: the per-bucket pairwise verify loop
         # is inherent (FastSS buckets are alphabet×length-bounded, a
@@ -465,19 +457,12 @@ def q_edit1_join(sf_dir: str):
                     if _edit1(names[i], names[j]):
                         a_out.append(names[i])
                         b_out.append(names[j])
-        # "string" dtype keeps the Arrow schema stable on empty buckets
-        return pd.DataFrame(
-            {
-                "name_a": pd.Series(a_out, dtype="string"),
-                "name_b": pd.Series(b_out, dtype="string"),
-            }
-        )
+        return pd.DataFrame({"name_a": a_out, "name_b": b_out})
 
-    pairs = (
-        distinct.map_batches(_keys, batch_format="pyarrow")
-        .map_batches(_key_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_bucket_pairs_shard, batch_format="pandas")
+    pairs = by_shard(
+        distinct.map_batches(_keys, batch_format="pyarrow"), "key",
+        _bucket_pairs_shard,
+        pa.schema([("name_a", pa.string()), ("name_b", pa.string())]),
     )
     # dedupe identical pairs found via multiple shared keys
     return (

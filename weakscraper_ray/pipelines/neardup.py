@@ -35,9 +35,10 @@ Exactness strategy:
 
 Scale shape:
 - containment: per-batch distinct (gram, doc, |A|) partials → ONE
-  gram-hash shard exchange (a gram lives in exactly one shard, so
-  per-shard pair counts SUM to the exact intersection — no pair
-  dedupe pass) → bounded ``groupby(pair)`` roll-up.  Pair volume is
+  ``functions.exchange.by_shard`` exchange on the gram (a gram lives
+  in exactly one shard, so per-shard pair counts SUM to the exact
+  intersection — no pair dedupe pass) → a second ``by_shard``
+  roll-up on the pair.  Pair volume is
   bounded by gram co-occurrence, the same profile as
   ``dup_ngram_fraction``/``source_overlap``; at 100 TB the gram
   string becomes a 64-bit hash (same documented swap).
@@ -56,23 +57,18 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray  # noqa: F401  (kept for parity with sibling modules)
 
+from ..functions.exchange import by_shard
 from . import relational as _rel
 from .relational import _read, _schema_guard
 
 #: containment threshold C ≥ 0.9 as the integer pair (num, den)
 _CONT_NUM = 9
 _CONT_DEN = 10
-_CONT_SHARDS = 64
 
 #: semdedup cosine threshold τ = 0.35 (testdata embeddings are random;
 #: τ² = 49/400 exactly — see module docstring)
 _SEM_NUM2 = 49    # 400·dot² ≥ 49·|a|²·|b|²
 _SEM_DEN2 = 400
-
-#: stage-1 shard count for the dedup_chain exact pass (bounded-
-#: cardinality exchange key; per-shard work is vectorized, so this is
-#: a parallelism knob, not a correctness one)
-_CHAIN_SHARDS = 256
 
 
 # =====================================================================
@@ -93,7 +89,6 @@ def _shingle_partial(batch: pa.Table) -> pa.Table:
     empty = pa.table(
         {
             "gram": pa.array([], pa.string()),
-            "shard": pa.array([], pa.int64()),
             "doc_id": pa.array([], pa.int64()),
             "na": pa.array([], pa.int64()),
         }
@@ -112,26 +107,13 @@ def _shingle_partial(batch: pa.Table) -> pa.Table:
         {"doc": ids[rows[:-2][valid]], "gram": gram[valid]}
     ).drop_duplicates()
     sizes = df.groupby("doc", sort=False)["gram"].transform("size")
-    grams = df["gram"].to_numpy()
     return pa.table(
         {
-            "gram": pa.array(grams, pa.string()),
-            "shard": pa.array(
-                (pd.util.hash_array(grams.astype("O")) % _CONT_SHARDS
-                 ).astype("int64")
-            ),
+            "gram": pa.array(df["gram"].to_numpy(), pa.string()),
             "doc_id": pa.array(df["doc"].to_numpy(), pa.int64()),
             "na": pa.array(sizes.to_numpy(), pa.int64()),
         }
     )
-
-
-#: second-exchange shard count for the pair roll-up (the pair-key
-#: domain grows with data, but a groupby over ~10^6 DISTINCT pair keys
-#: hits Ray's high-cardinality hash-aggregate degradation — the
-#: theta_join_cdf lesson — so the roll-up is re-keyed onto a BOUNDED
-#: shard exchange and folded with one C-level pandas groupby per shard)
-_CONT_PAIR_SHARDS = 256
 
 
 def _shard_pairs(shard: pd.DataFrame) -> pd.DataFrame:
@@ -140,24 +122,14 @@ def _shard_pairs(shard: pd.DataFrame) -> pd.DataFrame:
     dedupe exchange needed (contrast the retired 5×-replicated ssjoin
     design).  |A|/|B| ride along (identical on every shard).  The pair
     is packed into one int64 (doc ids < 2^31 — the itemset_pairs
-    idiom) keyed to a bounded pair shard for the roll-up."""
+    idiom), the key of the roll-up exchange."""
     d = shard[["gram", "doc_id", "na"]]
     m = d.merge(d, on="gram")
     m = m[m["doc_id_x"] < m["doc_id_y"]]
-    if m.empty:
-        return pd.DataFrame(
-            {
-                "pshard": pd.array([], dtype="int64"),
-                "pair": pd.array([], dtype="int64"),
-                "shared": pd.array([], dtype="int64"),
-                "na": pd.array([], dtype="int64"),
-                "nb": pd.array([], dtype="int64"),
-            }
-        )
     pair = (m["doc_id_x"].to_numpy(np.int64) << np.int64(32)) | m[
         "doc_id_y"
     ].to_numpy(np.int64)
-    g = (
+    return (
         pd.DataFrame(
             {"pair": pair, "na": m["na_x"].to_numpy(np.int64),
              "nb": m["na_y"].to_numpy(np.int64)}
@@ -166,13 +138,10 @@ def _shard_pairs(shard: pd.DataFrame) -> pd.DataFrame:
         .agg(shared=("pair", "size"), na=("na", "first"), nb=("nb", "first"))
         .reset_index()
     )
-    g["pshard"] = g["pair"].to_numpy() % _CONT_PAIR_SHARDS
-    return g[["pshard", "pair", "shared", "na", "nb"]]
 
 
 _CONT_PARTIAL_SCHEMA = pa.schema(
     [
-        ("pshard", pa.int64()),
         ("pair", pa.int64()),
         ("shared", pa.int64()),
         ("na", pa.int64()),
@@ -182,7 +151,7 @@ _CONT_PARTIAL_SCHEMA = pa.schema(
 
 
 def _pair_fold(shard: pd.DataFrame) -> pd.DataFrame:
-    """All partials of a pair land in its pshard, so the fold sees each
+    """All partials of a pair land in one shard, so the fold sees each
     pair complete: sum the per-gram-shard counts, apply the integer
     containment flags, unpack the ids."""
     g = (
@@ -217,20 +186,18 @@ def q_dedup_containment(sf_dir: str):
     (doc_a, doc_b, shared, na, nb, a_in_b, b_in_a), flags integer:
     ``a_in_b = [10·shared ≥ 9·na]``.
 
-    Two bounded keyed exchanges: gram-hash shards (intersection
-    partials) → pair-hash shards (C-level fold + flags); the pair KEY
-    domain grows with data but both exchange key domains stay
-    constant, dodging the high-cardinality hash-aggregate degradation
-    (measured 39 s → ~5 s at sf0.1)."""
+    Two ``by_shard`` exchanges: on the gram (intersection partials),
+    then on the pair (C-level fold + flags); the pair KEY domain grows
+    with data but both exchanges stay at a bounded shard count,
+    dodging the high-cardinality hash-aggregate degradation (measured
+    39 s → ~5 s at sf0.1)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    partials = _schema_guard(
-        ds.map_batches(_shingle_partial, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_shard_pairs, batch_format="pandas"),
-        _CONT_PARTIAL_SCHEMA,
+    partials = by_shard(
+        ds.map_batches(_shingle_partial, batch_format="pyarrow"), "gram",
+        _shard_pairs, _CONT_PARTIAL_SCHEMA,
     )
-    return _schema_guard(
-        partials.groupby("pshard").map_groups(_pair_fold, batch_format="pandas"),
+    return by_shard(
+        partials, "pair", _pair_fold,
         pa.schema(
             [
                 ("doc_a", pa.int64()),
@@ -373,7 +340,7 @@ def q_dedup_chain(sf_dir: str):
     doc already dropped cannot prune anyone.
 
     Scale shape (rebuilt per VERDICT r3 #1/#2): stage-1 non-keepers
-    come out of ONE crc-shard exchange with a vectorized per-shard
+    come out of ONE ``by_shard`` exchange with a vectorized per-shard
     sorted-adjacency scan (no per-hash pandas UDF); every drop set
     stays a Dataset end-to-end — survivor filtering and the final
     tagging scan go through the GATED broadcast / hash-exchange
@@ -391,43 +358,36 @@ def q_dedup_chain(sf_dir: str):
     from .relational import q_dedup_minhash
 
     # ---- stage 1: exact content hash, keeper = min doc_id. One pass
-    # computes (doc_id, md5, shard-of-md5); the non-keeper extraction
-    # is one bounded-cardinality shard exchange + a vectorized
+    # computes (doc_id, md5); the non-keeper extraction is one
+    # ``by_shard`` exchange on the md5 + a vectorized
     # sort/adjacent-equal scan per shard — one UDF call per SHARD,
     # never per distinct hash (the qa_pairs re-keying shape).
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def _hash_shard(t: pa.Table) -> pa.Table:
+    def _hash(t: pa.Table) -> pa.Table:
         import hashlib
 
-        hs, sh = [], []
-        for txt in t.column("text").to_pylist():
-            d = hashlib.md5((txt or "").encode("utf-8")).digest()
-            hs.append(d.hex())
-            sh.append(int.from_bytes(d[:4], "little") & (_CHAIN_SHARDS - 1))
+        hs = [
+            hashlib.md5((txt or "").encode("utf-8")).hexdigest()
+            for txt in t.column("text").to_pylist()
+        ]
         return pa.table(
             {
-                "shard": pa.array(sh, pa.int64()),
                 "doc_id": pc.cast(t.column("doc_id"), pa.int64()),
                 "content_hash": pa.array(hs, pa.string()),
             }
         )
 
-    sharded = ds.map_batches(_hash_shard, batch_format="pyarrow")
-
     def _nonmin_shard(g: pd.DataFrame) -> pd.DataFrame:
         d = g.sort_values(["content_hash", "doc_id"], kind="mergesort")
         h = d["content_hash"].to_numpy()
         dup = np.zeros(len(d), dtype=bool)
-        if len(d) > 1:
-            dup[1:] = h[1:] == h[:-1]
-        return d.loc[dup, ["doc_id"]]
+        dup[1:] = h[1:] == h[:-1]
+        return d.loc[dup]
 
-    drop1_ds = _schema_guard(
-        sharded.groupby("shard").map_groups(
-            _nonmin_shard, batch_format="pandas"
-        ),
-        pa.schema([("doc_id", pa.int64())]),
+    drop1_ds = by_shard(
+        ds.map_batches(_hash, batch_format="pyarrow"), "content_hash",
+        _nonmin_shard, pa.schema([("doc_id", pa.int64())]),
     ).materialize()
 
     # ---- stage 2: MinHash-verified pairs among stage-1 survivors

@@ -23,6 +23,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..functions.exchange import by_shard, shard_of
+
 
 def _i64_away(col, scale: float = 100.0):
     """``cast(round(col * scale) AS BIGINT)`` with ties rounded HALF
@@ -54,22 +56,17 @@ def _read(sf_dir: str, table: str, columns: list[str]):
 
 
 def _schema_guard(ds, schema: pa.Schema):
-    """Normalize possibly-schemaless empty blocks between two CHAINED
-    keyed exchanges. Ray's hash-shuffle ``map_groups`` can emit a
-    zero-column empty block for an empty hash partition; the next
-    shuffle's aggregator then fails sorting by its key columns
-    (observed intermittently on ``knn_ivf``: ``ArrowInvalid: No match
-    for FieldRef.Name(query_id) in <empty schema>`` inside
-    ``HashShuffleAggregator.finalize``). A streaming identity map that
-    rebuilds empty blocks from the declared schema (and casts the
-    rest) removes the hazard at zero shuffle cost."""
-
-    def _norm(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return schema.empty_table()
-        return t.select(schema.names).cast(schema)
-
-    return ds.map_batches(_norm, batch_format="pyarrow")
+    """Convert ``ds``'s blocks to Arrow in ``schema`` (select + cast),
+    for the exchanges that do not run through
+    ``functions.exchange.by_shard``. Its effect is the conversion: a
+    pandas-format ``map_groups`` emits pandas blocks, and a union of
+    pandas and Arrow blocks fails the next ``groupby`` or ``sort`` with
+    ``AssertionError (BlockType.ARROW, BlockType.PANDAS)``. Empty
+    blocks pass unchanged, because Ray skips ``map_batches`` on them;
+    the exchanges downstream accept them."""
+    return ds.map_batches(
+        lambda t: t.select(schema.names).cast(schema), batch_format="pyarrow"
+    )
 
 
 #: per-query ANN partial rows (knn_lsh / knn_ivf chained exchanges)
@@ -373,18 +370,11 @@ FROM documents GROUP BY md5(text)
 # Windowed running aggregate (groupby + per-group ordered cumsum)
 # =====================================================================
 
-_RUN_SHARDS = 256
-
-
 def _user_shard(t: pa.Table) -> pa.Table:
-    """Append a bounded multiply-shift hash shard of user_id — the
-    re-keying front half shared by every per-user ordered fold
-    (running_sum / moving_avg / asof_join / sessionize)."""
-    u = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-    sh = (
-        (u * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-    ) % np.uint64(_RUN_SHARDS)
-    return t.append_column("shard", pa.array(sh.astype(np.int64)))
+    """Append ``shard_of(user_id)`` as ``shard``: the re-keying front
+    half of the per-user folds in the series, analytics and engagement
+    families, which run their own ``groupby`` on it."""
+    return t.append_column("shard", pa.array(shard_of(t, ["user_id"])))
 
 
 def _running_shard(g: pd.DataFrame) -> pd.DataFrame:
@@ -407,10 +397,8 @@ def _running_shard(g: pd.DataFrame) -> pd.DataFrame:
 def q_running_sum(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
-    return _schema_guard(
-        ds.map_batches(_user_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_running_shard, batch_format="pandas"),
+    return by_shard(
+        ds, "user_id", _running_shard,
         pa.schema(
             [
                 ("event_id", pa.int64()),
@@ -809,14 +797,6 @@ _MINHASH_BROADCAST_MAX_PAIRS = 250_000
 _PAIR_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
 
 
-#: bounded exchange cardinality for the shuffle verify — both phases
-#: key on a shard of a hash, never on raw doc/pair ids, so the number
-#: of shuffle groups (and therefore UDF dispatches) is a constant
-#: independent of candidate-pair count (VERDICT r4 #1: the old
-#: per-doc/per-pair ``map_groups`` paid one Ray/Arrow dispatch per
-#: doc and per pair, i.e. millions exactly when this path activates).
-_VERIFY_SHARDS = 256
-
 _VERIFY_SIDE_SCHEMA = pa.schema(
     [
         ("doc_a", pa.int64()),
@@ -827,31 +807,21 @@ _VERIFY_SIDE_SCHEMA = pa.schema(
 )
 
 
-def _doc_shard(ids: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """Multiplicative-hash shard of a doc-id column (same kernel shape
-    as the band-hash shard above): bounded range [0, _VERIFY_SHARDS)."""
-    h = np.asarray(ids, dtype=np.int64).astype(np.uint64)
-    sh = (
-        (h * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-    ) % np.uint64(_VERIFY_SHARDS)
-    return pa.array(sh.astype(np.int64))
-
-
 def _minhash_verify_shuffle(uniq, docs_ds):
     """Fully-distributed Jaccard verify for extreme candidate counts:
     a manual two-phase hash join (texts attached to each pair side by
-    doc_id, then pairs reassembled and verified), with BOTH phases
-    re-keyed onto bounded hash shards — one vectorized pandas UDF per
-    shard, never one dispatch per doc or per pair (the
-    ``bucket_pairs_shard`` / ``edit1_join`` re-keying shape; VERDICT
-    r4 #1). Nothing is materialized on the driver or broadcast.
+    doc_id, then pairs reassembled and verified), with BOTH phases run
+    by ``functions.exchange.by_shard`` — one vectorized pandas UDF per
+    shard, never one dispatch per doc or per pair, so the dispatch count
+    does not grow with the candidate-pair count (VERDICT r4 #1).
+    Nothing is materialized on the driver or broadcast.
     Expressed with the engine's own keyed groupby rather than
     ``Dataset.join`` because Ray 2.49 joins spawn per-join aggregator
     actor pools that deadlock small sessions, and this path would
     need two of them."""
 
-    # -- phase 1: attach each side's text. Exchange key = shard of the
-    # doc_id whose text the row needs; doc rows carry side = -1.
+    # -- phase 1: attach each side's text. Exchange key = the doc_id
+    # whose text the row needs; doc rows carry side = -1.
     def _sides(batch: pa.Table) -> pa.Table:
         a = batch.column("doc_a").combine_chunks().cast(pa.int64())
         b = batch.column("doc_b").combine_chunks().cast(pa.int64())
@@ -859,7 +829,6 @@ def _minhash_verify_shuffle(uniq, docs_ds):
         doc_id = pa.concat_arrays([a, b])
         return pa.table(
             {
-                "shard": _doc_shard(doc_id),
                 "doc_id": doc_id,
                 "doc_a": pa.concat_arrays([a, a]),
                 "doc_b": pa.concat_arrays([b, b]),
@@ -878,7 +847,6 @@ def _minhash_verify_shuffle(uniq, docs_ds):
         neg1 = pa.array(np.full(n, -1, np.int64))
         return pa.table(
             {
-                "shard": _doc_shard(doc_id),
                 "doc_id": doc_id,
                 "doc_a": neg1,
                 "doc_b": neg1,
@@ -900,20 +868,11 @@ def _minhash_verify_shuffle(uniq, docs_ds):
         out["text"] = g.loc[~is_doc, "doc_id"].map(textmap)
         return out
 
-    # -- phase 2: reassemble pairs. Exchange key = shard of the pair
-    # hash; within a shard, a lexsort lines the two sides of each pair
+    # -- phase 2: reassemble pairs. Exchange key = (doc_a, doc_b);
+    # within a shard, a lexsort lines the two sides of each pair
     # up adjacently and one pass verifies every pair, memoizing
     # shingle sets per (doc_id side) so a hub doc's set is built once
     # per shard, not once per pair.
-    def _pair_shard(t: pa.Table) -> pa.Table:
-        a = np.asarray(t.column("doc_a"), dtype=np.int64).astype(np.uint64)
-        b = np.asarray(t.column("doc_b"), dtype=np.int64).astype(np.uint64)
-        h = a * np.uint64(0xC2B2AE3D27D4EB4F) + b * np.uint64(
-            0x9E3779B97F4A7C15
-        )
-        sh = (h >> np.uint64(40)) % np.uint64(_VERIFY_SHARDS)
-        return t.append_column("pshard", pa.array(sh.astype(np.int64)))
-
     def _verify_shard(g: pd.DataFrame) -> pd.DataFrame:
         d = g.sort_values(["doc_a", "doc_b", "side"], kind="mergesort")
         da = d["doc_a"].to_numpy()
@@ -965,17 +924,11 @@ def _minhash_verify_shuffle(uniq, docs_ds):
 
     sides = uniq.map_batches(_sides, batch_format="pyarrow")
     docs = docs_ds.map_batches(_tag_docs, batch_format="pyarrow")
-    attached = _schema_guard(
-        sides.union(docs)
-        .groupby("shard")
-        .map_groups(_attach_shard, batch_format="pandas"),
-        _VERIFY_SIDE_SCHEMA,
+    attached = by_shard(
+        sides.union(docs), "doc_id", _attach_shard, _VERIFY_SIDE_SCHEMA
     )
-    return _schema_guard(
-        attached.map_batches(_pair_shard, batch_format="pyarrow")
-        .groupby("pshard")
-        .map_groups(_verify_shard, batch_format="pandas"),
-        _PAIR_SCHEMA,
+    return by_shard(
+        attached, ["doc_a", "doc_b"], _verify_shard, _PAIR_SCHEMA
     )
 
 
@@ -1005,22 +958,11 @@ def _minhash_candidates(ds):
     bands = sigs.map_batches(explode_bands(n_bands=16), batch_format="pyarrow")
 
     # (band, band_hash) is data-cardinality (one hash per distinct
-    # signature band): re-key onto a bounded band-hash shard and
-    # iterate the buckets in-process (functions.dedup.bucket_pairs_shard)
-    def _band_shard(t: pa.Table) -> pa.Table:
-        h = t.column("band_hash").to_numpy(zero_copy_only=False).astype(
-            np.uint64
-        )
-        sh = (
-            (h * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-        ) % np.uint64(256)
-        return t.append_column("bshard", pa.array(sh.astype(np.int64)))
-
-    pairs = _schema_guard(
-        bands.map_batches(_band_shard, batch_format="pyarrow")
-        .groupby("bshard")
-        .map_groups(bucket_pairs_shard, batch_format="pyarrow"),
-        _PAIR_SCHEMA,
+    # signature band): shard on band_hash and iterate the buckets
+    # in-process (functions.dedup.bucket_pairs_shard)
+    pairs = by_shard(
+        bands, "band_hash", bucket_pairs_shard, _PAIR_SCHEMA,
+        batch_format="pyarrow",
     )
     # dedup candidate pairs surfaced by multiple bands
     return (
@@ -1176,13 +1118,13 @@ def q_dedup_keep_best(sf_dir: str):
     members).
 
     Scale shape: cluster membership is bounded by duplicate volume,
-    never corpus size. TWO bounded crc-shard exchanges: (1) members +
-    the pruned (doc_id, n_chars) stream co-locate on a doc-id shard
-    and attach quality with one vectorized map per shard
+    never corpus size. TWO ``by_shard`` exchanges: (1) members + the
+    pruned (doc_id, n_chars) stream co-locate on a doc-id shard and
+    attach quality with one vectorized map per shard
     (:func:`_attach_quality`); (2) rows re-key on a cluster-id shard
     and one per-shard pandas pass picks each cluster's argmax — the
     per-key-UDF discipline (cluster ids are data-cardinality, shards
-    are 256)."""
+    are bounded)."""
     clusters = q_dedup_clusters(sf_dir)
 
     def _side(t: pa.Table, is_doc: int) -> pa.Table:
@@ -1196,7 +1138,6 @@ def q_dedup_keep_best(sf_dir: str):
         cols[own] = pc.cast(t.column(own), pa.int64())
         return pa.table(
             {
-                "shard": _doc_shard(doc_id),
                 "doc_id": doc_id,
                 **cols,
                 "is_doc": pa.array(np.full(len(t), is_doc, np.int8)),
@@ -1204,11 +1145,10 @@ def q_dedup_keep_best(sf_dir: str):
         )
 
     docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-    attached = _schema_guard(
+    attached = by_shard(
         clusters.map_batches(_side, fn_args=(0,), batch_format="pyarrow")
-        .union(docs.map_batches(_side, fn_args=(1,), batch_format="pyarrow"))
-        .groupby("shard")
-        .map_groups(_attach_quality, batch_format="pandas"),
+        .union(docs.map_batches(_side, fn_args=(1,), batch_format="pyarrow")),
+        "doc_id", _attach_quality,
         pa.schema(
             [
                 ("doc_id", pa.int64()),
@@ -1217,12 +1157,6 @@ def q_dedup_keep_best(sf_dir: str):
             ]
         ),
     )
-
-    def _c_shard(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "cshard",
-            _doc_shard(t.column("cluster_id").combine_chunks()),
-        )
 
     def _pick(g: pd.DataFrame) -> pd.DataFrame:
         d = g.sort_values(
@@ -1243,10 +1177,8 @@ def q_dedup_keep_best(sf_dir: str):
             }
         )
 
-    return _schema_guard(
-        attached.map_batches(_c_shard, batch_format="pyarrow")
-        .groupby("cshard")
-        .map_groups(_pick, batch_format="pandas"),
+    return by_shard(
+        attached, "cluster_id", _pick,
         pa.schema(
             [
                 ("doc_id", pa.int64()),
@@ -2578,10 +2510,8 @@ def q_moving_avg(sf_dir: str):
             }
         )
 
-    return _schema_guard(
-        ds.map_batches(_user_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_roll_shard, batch_format="pandas"),
+    return by_shard(
+        ds, "user_id", _roll_shard,
         pa.schema(
             [
                 ("event_id", pa.int64()),
@@ -2867,15 +2797,6 @@ def q_phash_neardup(sf_dir: str):
             }
         )
 
-    def _hash_shard(t: pa.Table) -> pa.Table:
-        h = t.column("phash").to_numpy(zero_copy_only=False).astype(
-            np.uint64
-        )
-        sh = (
-            (h * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-        ) % np.uint64(64)
-        return t.append_column("shard", pa.array(sh.astype(np.int64)))
-
     def _group_shard(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized per-SHARD grouping (C transforms), not one pandas
         # UDF per distinct hash
@@ -2889,11 +2810,9 @@ def q_phash_neardup(sf_dir: str):
             }
         )
 
-    return _schema_guard(
-        ds.map_batches(_hash, batch_format="pyarrow", batch_size=64)
-        .map_batches(_hash_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_group_shard, batch_format="pandas"),
+    return by_shard(
+        ds.map_batches(_hash, batch_format="pyarrow", batch_size=64),
+        "phash", _group_shard,
         pa.schema(
             [
                 ("media_id", pa.int64()),
@@ -3249,12 +3168,6 @@ def q_asof_join(sf_dir: str):
         # one grouped merge_asof per SHARD: pandas runs the by=
         # variant as a single vectorized pass, so UDF calls scale with
         # shard count, never user cardinality
-        empty = pd.DataFrame(
-            columns=["event_id", "user_id", "view_value_cents"]
-        ).astype(
-            {"event_id": "int64", "user_id": "int64",
-             "view_value_cents": "int64"}
-        )
         clicks = group[group["event_type"] == "click"].sort_values(
             ["ts", "event_id"], kind="mergesort"
         )
@@ -3264,7 +3177,9 @@ def q_asof_join(sf_dir: str):
             .sort_values("ts", kind="mergesort")
         )
         if clicks.empty or views.empty:
-            return empty
+            return pd.DataFrame(
+                columns=["event_id", "user_id", "view_value_cents"]
+            )
         m = pd.merge_asof(
             clicks, views, on="ts", by="user_id",
             direction="backward", suffixes=("", "_view"),
@@ -3273,10 +3188,8 @@ def q_asof_join(sf_dir: str):
         m["view_value_cents"] = _i64_away_np(m["value_view"].to_numpy())
         return m[["event_id", "user_id", "view_value_cents"]]
 
-    return _schema_guard(
-        ds.map_batches(_user_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_asof_shard, batch_format="pandas"),
+    return by_shard(
+        ds, "user_id", _asof_shard,
         pa.schema(
             [
                 ("event_id", pa.int64()),
@@ -3314,11 +3227,9 @@ def q_sessionize(sf_dir: str):
         u = d["user_id"].to_numpy(np.int64)
         us = d["ts"].astype("int64").to_numpy()
         brk = np.ones(len(d), dtype=np.int64)
-        if len(d) > 1:
-            same = u[1:] == u[:-1]
-            brk[1:] = np.where(
-                same & (us[1:] - us[:-1] <= 1_800_000_000), 0, 1
-            )
+        brk[1:] = np.where(
+            (u[1:] == u[:-1]) & (us[1:] - us[:-1] <= 1_800_000_000), 0, 1
+        )
         agg = pd.DataFrame({"user_id": u, "b": brk}).groupby(
             "user_id", sort=False
         )["b"].sum()
@@ -3329,10 +3240,8 @@ def q_sessionize(sf_dir: str):
             }
         )
 
-    return _schema_guard(
-        ds.map_batches(_user_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_sessions_shard, batch_format="pandas"),
+    return by_shard(
+        ds, "user_id", _sessions_shard,
         pa.schema([("user_id", pa.int64()), ("n_sessions", pa.int64())]),
     )
 
@@ -3562,15 +3471,6 @@ def q_pdf_layout(sf_dir: str):
     # vectorized sort + grouped cumcount per SHARD instead of one
     # pandas UDF per (doc, page) — page groups are ~3 rows each, the
     # worst per-group-overhead regime (the qa_pairs re-keying shape)
-    def _doc_shard(t: pa.Table) -> pa.Table:
-        d = t.column("doc_id").to_numpy(zero_copy_only=False).astype(
-            np.uint64
-        )
-        sh = (
-            (d * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-        ) % np.uint64(64)
-        return t.append_column("pshard", pa.array(sh.astype(np.int64)))
-
     def _order_shard(g: pd.DataFrame) -> pd.DataFrame:
         d = g.sort_values(
             ["doc_id", "page", "y1", "x0"],
@@ -3579,14 +3479,12 @@ def q_pdf_layout(sf_dir: str):
         d["reading_idx"] = d.groupby(
             ["doc_id", "page"], sort=False
         ).cumcount()
-        return d.drop(columns=["pshard"])
+        return d
 
     from ..functions.layout import BLOCK_FIELDS
 
-    return _schema_guard(
-        blocks.map_batches(_doc_shard, batch_format="pyarrow")
-        .groupby("pshard")
-        .map_groups(_order_shard, batch_format="pandas"),
+    return by_shard(
+        blocks, "doc_id", _order_shard,
         pa.schema(
             [(n, t) for n, t in BLOCK_FIELDS] + [("reading_idx", pa.int64())]
         ),

@@ -22,8 +22,9 @@ conversation/agent transcripts):
 
 Scale shape (all three): the text column NEVER shuffles — each batch
 is reduced to (conv_id, turn_idx, role, chars|us) before any exchange;
-conversations are re-keyed onto a bounded crc shard (the ``qa_pairs``
-high-cardinality-groupby avoidance) and each shard folds with ONE
+conversations go through the ``functions.exchange.by_shard``
+exchange on conv_id (the ``qa_pairs`` high-cardinality-groupby
+avoidance) and each shard folds with ONE
 vectorized pandas sort + groupby — UDF calls scale with shard count,
 never with conversation cardinality.  ``response_ratio`` needs no
 order at all and is a plain Sum-aggregate exchange.
@@ -36,16 +37,13 @@ the SQL twins.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .relational import _read, _schema_guard, _size_for  # noqa: F401
-
-_T_SHARDS = 256
+from ..functions.exchange import by_shard
+from .relational import _read, _size_for  # noqa: F401
 
 #: conv_truncate cumulative character budget (a context-window proxy)
 _TRUNC_BUDGET = 2000
@@ -60,19 +58,12 @@ def _read_tr(sf_dir: str):
     )
 
 
-def _shard_partial(batch: pa.Table) -> pa.Table:
-    """(shard, conv_id, turn_idx, role, chars, us) — the slim rows the
-    ordered folds exchange; crc per UNIQUE conv id (the qa_pairs
-    memo-factorize idiom), text dropped here."""
-    conv = batch.column("conv_id")
-    codes, uvals = pd.factorize(conv.to_pandas(), sort=False)
-    shard_of = np.array(
-        [zlib.crc32(u.encode()) % _T_SHARDS for u in uvals], dtype=np.int64
-    )
+def _slim_partial(batch: pa.Table) -> pa.Table:
+    """(conv_id, turn_idx, role, chars, us) — the slim rows the ordered
+    folds exchange on conv_id; text dropped here."""
     return pa.table(
         {
-            "shard": pa.array(shard_of[codes]),
-            "conv_id": conv,
+            "conv_id": batch.column("conv_id"),
             "turn_idx": pc.cast(batch.column("turn_idx"), pa.int64()),
             "role": batch.column("role"),
             "chars": pc.cast(
@@ -95,7 +86,7 @@ def q_turn_latency(sf_dir: str):
     ≥1 response as (conv_id, n_responses, sum_latency_us,
     max_latency_us)."""
     slim = _read_tr(sf_dir).map_batches(
-        _shard_partial, batch_format="pyarrow"
+        _slim_partial, batch_format="pyarrow"
     )
 
     def _fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -104,30 +95,18 @@ def q_turn_latency(sf_dir: str):
         role = d["role"].to_numpy()
         ti = d["turn_idx"].to_numpy(np.int64)
         us = d["us"].to_numpy(np.int64)
-        if len(d) < 2:
-            m = np.zeros(0, dtype=bool)
-        else:
-            m = (
-                (conv[1:] == conv[:-1])
-                & (ti[1:] == ti[:-1] + 1)
-                & (role[1:] == "assistant")
-                & (role[:-1] == "user")
-            )
+        m = (
+            (conv[1:] == conv[:-1])
+            & (ti[1:] == ti[:-1] + 1)
+            & (role[1:] == "assistant")
+            & (role[:-1] == "user")
+        )
         lat = pd.DataFrame(
             {
                 "conv_id": conv[1:][m],
                 "lat": us[1:][m] - us[:-1][m],
             }
         )
-        if not len(lat):
-            return pd.DataFrame(
-                {
-                    "conv_id": pd.Series([], dtype=object),
-                    "n_responses": pd.Series([], dtype=np.int64),
-                    "sum_latency_us": pd.Series([], dtype=np.int64),
-                    "max_latency_us": pd.Series([], dtype=np.int64),
-                }
-            )
         agg = lat.groupby("conv_id", sort=False)["lat"].agg(
             ["size", "sum", "max"]
         )
@@ -140,8 +119,8 @@ def q_turn_latency(sf_dir: str):
             }
         )
 
-    return _schema_guard(
-        slim.groupby("shard").map_groups(_fold, batch_format="pandas"),
+    return by_shard(
+        slim, "conv_id", _fold,
         pa.schema(
             [
                 ("conv_id", pa.string()),
@@ -265,7 +244,7 @@ def q_conv_truncate(sf_dir: str):
     (including it) stays ≤ the budget.  Emits (conv_id, n_turns,
     n_kept, kept_chars) — the packing planner's feed."""
     slim = _read_tr(sf_dir).map_batches(
-        _shard_partial, batch_format="pyarrow"
+        _slim_partial, batch_format="pyarrow"
     )
 
     def _fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -293,8 +272,8 @@ def q_conv_truncate(sf_dir: str):
             }
         )
 
-    return _schema_guard(
-        slim.groupby("shard").map_groups(_fold, batch_format="pandas"),
+    return by_shard(
+        slim, "conv_id", _fold,
         pa.schema(
             [
                 ("conv_id", pa.string()),
@@ -337,8 +316,8 @@ def q_turn_dedup(sf_dir: str):
     keeper_turn) with keeper = lexicographically smallest
     (conv_id, turn_idx).
 
-    Shape: per-batch md5 + crc shard (text dropped immediately —
-    only 32-byte digests + keys exchange), one bounded-shard exchange,
+    Shape: per-batch md5 (text dropped immediately — only 32-byte
+    digests + keys exchange), one ``by_shard`` exchange on the digest,
     vectorized per-shard groupby (size / nunique / sorted-first)."""
     import hashlib
 
@@ -346,18 +325,15 @@ def q_turn_dedup(sf_dir: str):
 
     def _hash(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
-        keep, hs, sh = [], [], []
+        keep, hs = [], []
         for i, t in enumerate(texts):
             if t is None or t == "":
                 continue
-            d = hashlib.md5(t.encode("utf-8")).digest()
             keep.append(i)
-            hs.append(d.hex())
-            sh.append(int.from_bytes(d[:4], "little") & (_T_SHARDS - 1))
+            hs.append(hashlib.md5(t.encode("utf-8")).hexdigest())
         taken = batch.take(pa.array(keep, pa.int64()))
         return pa.table(
             {
-                "shard": pa.array(sh, pa.int64()),
                 "text_md5": pa.array(hs, pa.string()),
                 "conv_id": taken.column("conv_id"),
                 "turn_idx": pc.cast(taken.column("turn_idx"), pa.int64()),
@@ -385,10 +361,8 @@ def q_turn_dedup(sf_dir: str):
         )
         return out[out["n_turns"] >= 2]
 
-    return _schema_guard(
-        ds.map_batches(_hash, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(_fold, batch_format="pandas"),
+    return by_shard(
+        ds.map_batches(_hash, batch_format="pyarrow"), "text_md5", _fold,
         pa.schema(
             [
                 ("text_md5", pa.string()),
@@ -438,7 +412,7 @@ def q_turn_echo(sf_dir: str):
     Scale shape: unlike its siblings this operator's semantics NEED
     cross-turn token content, so the shard exchange ships per-turn
     token LISTS (pre-split, empty-filtered — no raw text), keyed on
-    the same bounded crc conv shard; one vectorized-sort + linear
+    conv_id like its siblings; one vectorized-sort + linear
     adjacent-pair pass per shard, word-set membership per response
     pair. At 100 TB the production variant hashes tokens to u64 in the
     map phase (4-8x smaller exchange; collision odds ~pairs*len^2/2^64)
@@ -469,36 +443,19 @@ def q_turn_echo(sf_dir: str):
                 acc[0] += 1
                 acc[1] += echoed
                 acc[2] += len(aw)
-        rows = [
-            (c, n, e, t)
-            for c, (n, e, t) in out.items()
-            if t > 0
-        ]
-        if not rows:
-            return pd.DataFrame(
-                {
-                    "conv_id": pd.Series([], dtype=object),
-                    "n_responses": pd.Series([], dtype="int64"),
-                    "echoed_words": pd.Series([], dtype="int64"),
-                    "assistant_words": pd.Series([], dtype="int64"),
-                    "echo_e6": pd.Series([], dtype="int64"),
-                }
-            )
-        c, n, e, t = zip(*rows)
-        e_arr = np.asarray(e, np.int64)
-        t_arr = np.asarray(t, np.int64)
-        return pd.DataFrame(
-            {
-                "conv_id": list(c),
-                "n_responses": np.asarray(n, np.int64),
-                "echoed_words": e_arr,
-                "assistant_words": t_arr,
-                "echo_e6": (1_000_000 * e_arr) // t_arr,
-            }
+        res = pd.DataFrame(
+            [(c, n, e, t) for c, (n, e, t) in out.items() if t > 0],
+            columns=[
+                "conv_id", "n_responses", "echoed_words", "assistant_words"
+            ],
         )
+        res["echo_e6"] = (
+            1_000_000 * res["echoed_words"]
+        ) // res["assistant_words"]
+        return res
 
-    return _schema_guard(
-        slim.groupby("shard").map_groups(_fold, batch_format="pandas"),
+    return by_shard(
+        slim, "conv_id", _fold,
         pa.schema(
             [
                 ("conv_id", pa.string()),
@@ -512,21 +469,14 @@ def q_turn_echo(sf_dir: str):
 
 
 def _echo_partial(batch: pa.Table) -> pa.Table:
-    """(shard, conv_id, turn_idx, role, words) — token lists, not raw
-    text; same crc conv-shard key as :func:`_shard_partial`."""
-    conv = batch.column("conv_id")
-    codes, uvals = pd.factorize(conv.to_pandas(), sort=False)
-    shard_of = np.array(
-        [zlib.crc32(u.encode()) % _T_SHARDS for u in uvals], dtype=np.int64
-    )
+    """(conv_id, turn_idx, role, words) — token lists, not raw text."""
     words = [
         (t or "").lower().split()
         for t in batch.column("text").to_pylist()
     ]
     return pa.table(
         {
-            "shard": pa.array(shard_of[codes]),
-            "conv_id": conv,
+            "conv_id": batch.column("conv_id"),
             "turn_idx": pc.cast(batch.column("turn_idx"), pa.int64()),
             "role": batch.column("role"),
             "words": pa.array(words, pa.list_(pa.string())),
@@ -579,9 +529,9 @@ def q_tool_bigrams(sf_dir: str):
     emit corpus-wide counts — the "which tool follows which" read-out
     that drives tool-routing and agent-scaffold analyses.
 
-    Scale shape: the slim partial ships only (shard, conv_id,
-    turn_idx, tool) for tool rows; one vectorized sort + adjacency
-    mask per bounded crc conv shard emits PRE-AGGREGATED per-shard
+    Scale shape: the slim partial ships only (conv_id, turn_idx, tool)
+    for tool rows; one vectorized sort + adjacency mask per
+    ``by_shard`` conv shard emits PRE-AGGREGATED per-shard
     bigram counts (the key domain is |tools|² — bounded), and one
     tiny Sum exchange folds shards. No text, no per-conv dispatch."""
     from ray.data.aggregate import Sum
@@ -594,28 +544,18 @@ def q_tool_bigrams(sf_dir: str):
         d = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
         conv = d["conv_id"].to_numpy()
         tool = d["tool"].to_numpy()
-        if len(d) < 2:
-            return pd.DataFrame(
-                {
-                    "tool_a": pd.Series([], dtype=object),
-                    "tool_b": pd.Series([], dtype=object),
-                    "n": pd.Series([], dtype="int64"),
-                }
-            )
         m = conv[1:] == conv[:-1]
         pairs = pd.DataFrame(
             {"tool_a": tool[:-1][m], "tool_b": tool[1:][m]}
         )
-        agg = (
+        return (
             pairs.groupby(["tool_a", "tool_b"], sort=False)
             .size()
             .reset_index(name="n")
         )
-        agg["n"] = agg["n"].astype("int64")
-        return agg
 
-    counted = _schema_guard(
-        slim.groupby("shard").map_groups(_fold, batch_format="pandas"),
+    counted = by_shard(
+        slim, "conv_id", _fold,
         pa.schema(
             [
                 ("tool_a", pa.string()),
@@ -630,24 +570,16 @@ def q_tool_bigrams(sf_dir: str):
 
 
 def _tool_partial(batch: pa.Table) -> pa.Table:
-    """(shard, conv_id, turn_idx, tool) for TOOL rows only — same crc
-    conv-shard key as :func:`_shard_partial`; text/ts never ship."""
+    """(conv_id, turn_idx, tool) for TOOL rows only; text/ts never
+    ship."""
     mask = pc.and_(
         pc.is_valid(batch.column("tool")),
         pc.not_equal(pc.fill_null(batch.column("tool"), ""), ""),
     )
     b = batch.filter(mask)
-    conv = b.column("conv_id")
-    codes, uvals = pd.factorize(conv.to_pandas(), sort=False)
-    shard_of = np.array(
-        [zlib.crc32(u.encode()) % _T_SHARDS for u in uvals], dtype=np.int64
-    ) if len(uvals) else np.zeros(0, dtype=np.int64)
     return pa.table(
         {
-            "shard": pa.array(
-                shard_of[codes] if len(codes) else np.zeros(0, np.int64)
-            ),
-            "conv_id": conv,
+            "conv_id": b.column("conv_id"),
             "turn_idx": pc.cast(b.column("turn_idx"), pa.int64()),
             "tool": b.column("tool"),
         }

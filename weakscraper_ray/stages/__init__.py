@@ -1,5 +1,5 @@
 """Ray Data stage callables (map_batches functions / actor classes)."""
 
-from .extract import Extractor, html_filter_batch, project_batch
+from .extract import Extractor
 
-__all__ = ["Extractor", "html_filter_batch", "project_batch"]
+__all__ = ["Extractor"]

@@ -25,7 +25,6 @@ import json
 from typing import Callable
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..exceptions import TemplateMismatch
 from ..template import Template
@@ -34,30 +33,6 @@ from ..template import Template
 SPANS_TYPE = pa.list_(
     pa.struct([("name", pa.string()), ("start", pa.int32()), ("end", pa.int32())])
 )
-
-
-def html_filter_batch(batch: pa.Table) -> pa.Table:
-    """R1: keep only turns whose text plausibly carries HTML.
-
-    Vectorized cheap heuristic (`<` and `>` present); the parser inside
-    the extractor is the authoritative confirm. Used when the caller
-    wants to hard-drop non-HTML turns instead of passing them through
-    with ``status="skipped"``.
-    """
-    text = batch.column("text")
-    mask = pc.and_(
-        pc.match_substring(text, "<"), pc.match_substring(text, ">")
-    )
-    return batch.filter(mask)
-
-
-def project_batch(columns: list[str]) -> Callable[[pa.Table], pa.Table]:
-    """R2: column projection as a reusable batch fn."""
-
-    def _project(batch: pa.Table) -> pa.Table:
-        return batch.select(columns)
-
-    return _project
 
 
 class Extractor:
