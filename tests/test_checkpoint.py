@@ -100,6 +100,61 @@ def test_manifest_contents(extracted, tmp_path):
     assert pa.types.is_list(tbl.schema.field("spans").type)
 
 
+def _peak_overlap(spans: list[tuple[float, float]]) -> int:
+    events = sorted([(s, 1) for s, _ in spans] + [(e, -1) for _, e in spans])
+    peak = live = 0
+    for _, step in events:
+        live += step
+        peak = max(peak, live)
+    return peak
+
+
+def test_sink_upstream_runs_on_every_cpu(ray_session, tmp_path):
+    """The sink's shard exchange must not starve the stage feeding it:
+    12 one-block inputs, each held 0.3 s by an upstream UDF, run at
+    least 3 at a time on the 4-CPU session. Streamed straight into the
+    ``groupby("shard")``, Ray Data's resource reservation for the
+    exchange's waiting stages left the upstream one task at a time."""
+    import time
+    import uuid
+
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    deadline = time.monotonic() + 60
+    while ray.available_resources().get("CPU", 0) < 4:
+        assert time.monotonic() < deadline, "CPUs never freed"
+        time.sleep(0.1)
+
+    spans_dir = tmp_path / "spans"
+    spans_dir.mkdir()
+
+    def _slow(batch: pa.Table) -> pa.Table:
+        start = time.time()
+        time.sleep(0.3)
+        (spans_dir / uuid.uuid4().hex).write_text(f"{start} {time.time()}")
+        return batch
+
+    blocks = [
+        pa.table({"conv_id": [f"c{i}-{j}" for j in range(10)],
+                  "turn_idx": pa.array(range(10), pa.int64())})
+        for i in range(12)
+    ]
+    ds = ray.data.from_arrow(blocks).map_batches(
+        _slow, batch_size=None, batch_format="pyarrow"
+    )
+    out = str(tmp_path / "out")
+    write_partitioned(ds, out, n_shards=8, resume=False)
+
+    spans = [
+        tuple(map(float, f.read_text().split())) for f in spans_dir.iterdir()
+    ]
+    assert len(spans) >= 12
+    assert _peak_overlap(spans) >= 3
+    assert metrics_rollup(out)["rows"] == 120
+
+
 def test_cli_checksum_ignores_partitioning(tmp_path):
     """``python -m weakscraper_ray checksum`` prints the same JSON for
     two copies of the same rows: one file, and three shuffled files."""

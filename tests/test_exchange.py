@@ -1,6 +1,8 @@
 """``functions/exchange.py``: the bounded shard exchange behind the
 keyed dedup, curation and transcript-hygiene queries."""
 
+import re
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -69,6 +71,47 @@ def test_by_shard_rejects_int_degraded_to_float(ray_session):
     src = ray.data.from_arrow(pa.table({"k": pa.array(range(5), pa.int64())}))
     with pytest.raises(Exception, match="for int column 'k'"):
         by_shard(src, "k", _floaty, schema).materialize()
+
+
+def test_by_shard_of_a_list_fuses_the_shard_step(ray_session):
+    """``by_shard([a, b], ...)`` gives ``by_shard(a.union(b), ...)``'s
+    rows, and the shard column is added inside each input's last map:
+    no ``MapBatches(_add)`` operator runs on its own."""
+    import ray.data
+
+    def _tag(t: pa.Table, side: int) -> pa.Table:
+        return t.append_column("side", pa.array(np.full(len(t), side, np.int64)))
+
+    def _inputs():
+        a = ray.data.from_arrow(
+            pa.table({"k": pa.array(np.arange(60) % 11, pa.int64())})
+        ).map_batches(_tag, fn_args=(0,), batch_format="pyarrow")
+        b = ray.data.from_arrow(
+            pa.table({"k": pa.array(np.arange(25) % 7, pa.int64())})
+        ).map_batches(_tag, fn_args=(1,), batch_format="pyarrow")
+        return a, b
+
+    schema = pa.schema([("k", pa.int64()), ("side", pa.int64()),
+                        ("n", pa.int64())])
+
+    def _count(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby(["k", "side"], as_index=False).agg(n=("k", "size"))
+
+    def _rows(ds) -> list:
+        return sorted(map(tuple, ds.to_pandas()[["k", "side", "n"]].values))
+
+    a, b = _inputs()
+    listed = by_shard([a, b], "k", _count, schema).materialize()
+    a, b = _inputs()
+    unioned = by_shard(a.union(b), "k", _count, schema).materialize()
+    assert _rows(listed) == _rows(unioned)
+
+    def _ops(ds) -> list[str]:
+        return re.findall(r"^Operator \d+ (.+?):", ds.stats(), re.M)
+
+    assert "MapBatches(_add)" not in _ops(listed)
+    assert _ops(listed).count("MapBatches(_tag)->MapBatches(_add)") == 2
+    assert "MapBatches(_add)" in _ops(unioned)
 
 
 @pytest.mark.parametrize(

@@ -205,6 +205,67 @@ def test_full_pipeline_with_shuffle_survives_worker_kill(
     assert os.path.exists(flag)
 
 
+def test_checkpoint_sink_survives_worker_kill(ray_session, tmp_path):
+    """Chaos probe #3: the kill lands between extract and the sink's
+    shard exchange, inside write_partitioned's materialize() barrier.
+    Upstream task retry must complete the barrier, the checkpoint must
+    equal a clean run's (same partitions, per-manifest rows and
+    key_hash), and a resume afterwards must rewrite nothing."""
+    import json
+    import os
+
+    import pyarrow as pa
+
+    from weakscraper_ray.pipelines.extraction import (
+        extraction_pipeline,
+        read_transcripts,
+    )
+    from weakscraper_ray.sources import committed_partitions, write_partitioned
+    from weakscraper_ray.transcripts import ensure_generated
+
+    flag = str(tmp_path / "killed_once")
+
+    class _Killer:
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            if not os.path.exists(flag):
+                open(flag, "w").close()
+                os._exit(1)
+            return batch
+
+    src = ensure_generated("tiny")
+
+    def extracted():
+        return extraction_pipeline(read_transcripts(src), restore_ordering=False)
+
+    wounded = extracted().map_batches(
+        _Killer, batch_size=32, concurrency=1, batch_format="pyarrow",
+        max_restarts=-1, max_task_retries=-1,
+    )
+    out, ref = str(tmp_path / "out"), str(tmp_path / "ref")
+    write_partitioned(wounded, out, n_shards=8)
+    assert os.path.exists(flag)  # the kill actually happened
+    write_partitioned(extracted(), ref, n_shards=8)
+
+    def manifests(d):
+        got = {}
+        for p in committed_partitions(d):
+            with open(f"{d}/_manifest/{p}.json") as fh:
+                m = json.load(fh)
+            got[p] = (m["rows"], m["key_hash"])
+        return got
+
+    shards = sorted(committed_partitions(out))
+    assert len(shards) >= 3
+    assert manifests(out) == manifests(ref)
+
+    mtimes = {
+        p: os.path.getmtime(f"{out}/part={p}/data.parquet") for p in shards
+    }
+    assert len(write_partitioned(extracted(), out, n_shards=8)) == 0
+    for p, t in mtimes.items():
+        assert os.path.getmtime(f"{out}/part={p}/data.parquet") == t
+
+
 def test_extract_stage_survives_own_worker_kill(ray_session, tmp_path):
     """Chaos probe on the Extractor's OWN worker: a wp-function kills
     the extract task's process once (os._exit) mid-match. Ray Data's

@@ -500,9 +500,10 @@ def _anti_exchange(ds, col, drop_ds, drop_col, schema: pa.Schema):
             pc.invert(pc.is_in(lhs.column("__k"), value_set=drop_vals))
         )
 
-    both = ds.map_batches(_lhs, batch_format="pyarrow").union(
-        drop_ds.map_batches(_rhs, batch_format="pyarrow")
-    )
+    both = [
+        ds.map_batches(_lhs, batch_format="pyarrow"),
+        drop_ds.map_batches(_rhs, batch_format="pyarrow"),
+    ]
     return by_shard(both, "__k", _per_shard, schema, batch_format="pyarrow")
 
 

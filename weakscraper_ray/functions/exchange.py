@@ -74,7 +74,12 @@ def by_shard(ds, key, fold, schema: pa.Schema, batch_format: str = "pandas"):
     one or two), output in ``schema``. ``fold`` gets the shard's rows in
     ``batch_format`` (with an extra shard column) and returns a pandas
     DataFrame or an Arrow table holding at least ``schema``'s columns.
-    Ray never calls it with an empty group."""
+    Ray never calls it with an empty group.
+
+    ``ds`` is a Dataset or a list of Datasets to exchange together.
+    Each one gets its shard column before the union, so the shard step
+    fuses into each input's last map; added after a union it would run
+    as an operator of its own."""
     cols = [key] if isinstance(key, str) else list(key)
 
     def _add(t: pa.Table) -> pa.Table:
@@ -83,8 +88,9 @@ def by_shard(ds, key, fold, schema: pa.Schema, batch_format: str = "pandas"):
     def _fold(g):
         return _to_schema(fold(g), schema)
 
-    return (
-        ds.map_batches(_add, batch_format="pyarrow")
-        .groupby(_COL)
-        .map_groups(_fold, batch_format=batch_format)
-    )
+    first, *rest = [
+        d.map_batches(_add, batch_format="pyarrow")
+        for d in (ds if isinstance(ds, list) else [ds])
+    ]
+    keyed = first.union(*rest) if rest else first
+    return keyed.groupby(_COL).map_groups(_fold, batch_format=batch_format)

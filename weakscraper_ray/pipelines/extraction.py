@@ -2,10 +2,17 @@
 
     read_transcripts(path, fmt)               [IO tasks, column-pruned; one
                                                reader per sources.formats entry]
+      (→ prune_committed)                     [sink resume: drop committed shards]
       → map_batches(Extractor(...), tasks)    [C1..C4, zero-copy Arrow]
       → restore_order: materialize() barrier,
         then sort by (conv_id, turn_idx)      [R3/R4 range-partitioned sort]
-      → write_partitioned(fmt) / downstream   [S3]
+      or
+      → write_partitioned(fmt): materialize()
+        barrier, then groupby(shard), one
+        atomic part + manifest per shard      [S3 checkpointed sink]
+
+Either path has one wide exchange, behind one barrier: extraction runs
+on every CPU before the exchange starts (``stages/ordering.py``).
 
 Nothing here calls ``ray.init`` — the driver/bench/tests own sessions.
 """

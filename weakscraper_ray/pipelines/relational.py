@@ -925,7 +925,7 @@ def _minhash_verify_shuffle(uniq, docs_ds):
     sides = uniq.map_batches(_sides, batch_format="pyarrow")
     docs = docs_ds.map_batches(_tag_docs, batch_format="pyarrow")
     attached = by_shard(
-        sides.union(docs), "doc_id", _attach_shard, _VERIFY_SIDE_SCHEMA
+        [sides, docs], "doc_id", _attach_shard, _VERIFY_SIDE_SCHEMA
     )
     return by_shard(
         attached, ["doc_a", "doc_b"], _verify_shard, _PAIR_SCHEMA
@@ -1146,8 +1146,8 @@ def q_dedup_keep_best(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     attached = by_shard(
-        clusters.map_batches(_side, fn_args=(0,), batch_format="pyarrow")
-        .union(docs.map_batches(_side, fn_args=(1,), batch_format="pyarrow")),
+        [clusters.map_batches(_side, fn_args=(0,), batch_format="pyarrow"),
+         docs.map_batches(_side, fn_args=(1,), batch_format="pyarrow")],
         "doc_id", _attach_quality,
         pa.schema(
             [

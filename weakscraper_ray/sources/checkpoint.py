@@ -203,10 +203,18 @@ def write_partitioned(ds, out_dir: str, n_shards: int = 16, resume: bool = True,
     """Checkpointed sink: shard by conv-hash → one atomic partition +
     manifest per shard. Returns the manifest rows (small DataFrame).
 
-    Streaming-friendly: the groupby is the pipeline's existing
-    conv-keyed shuffle; each group writes its own partition in the
-    worker, so no driver materialization of data. ``has_shard=True``
-    when the caller already ran prune_committed upstream (pre-extract).
+    The pruned, shard-keyed input is materialized before the
+    ``groupby("shard")`` exchange, the barrier ``restore_order`` uses
+    (see ``stages/ordering.py``): the exchange is an all-to-all barrier
+    anyway, and while upstream extraction streams into it Ray Data's
+    operator resource reservation leaves the extract stage about one
+    task slot. Behind the barrier extraction runs on every CPU; the
+    cost is that the sink's input stays pinned in the object store
+    until the manifests return. Pruning stays upstream of the barrier,
+    so a resume still skips committed shards before extraction. Each
+    group writes its own partition in the worker, so only the manifest
+    rows come back. ``has_shard=True`` when the caller already ran
+    prune_committed upstream (pre-extract).
     ``_chaos_write_hook(shard, phase)`` is the fault-injection seam
     (phases ``pre_data`` / ``pre_manifest``) used by the crash-atomicity
     chaos tests; it ships with the write closure so it executes in the
@@ -222,7 +230,7 @@ def write_partitioned(ds, out_dir: str, n_shards: int = 16, resume: bool = True,
     # the hook rides the closure (serialized with it), so fault
     # injection reaches the WORKER executing the write — a driver-side
     # monkeypatch would not (workers import the module fresh)
-    manifests = ds.groupby("shard").map_groups(
+    manifests = ds.materialize().groupby("shard").map_groups(
         lambda g: _write_one_partition(
             g, out_dir, fmt=fmt, chaos_hook=_chaos_write_hook
         ),
