@@ -100,6 +100,36 @@ def test_manifest_contents(extracted, tmp_path):
     assert pa.types.is_list(tbl.schema.field("spans").type)
 
 
+def test_many_block_input_writes_the_same_partitions(extracted, tmp_path):
+    """The sink's input repartitioned to 32 blocks is coalesced to one
+    block per CPU before the shard groupby (the gate record says so),
+    and writes the partitions of the unrepartitioned run: equal rows and
+    key hashes per partition. A resume then rewrites nothing."""
+    from weakscraper_ray.functions import gates
+
+    want = write_partitioned(extracted, str(tmp_path / "few"), n_shards=8)
+    many = extracted.repartition(32).materialize()
+    assert many.num_blocks() == 32
+    out = str(tmp_path / "many")
+    gates.drain()
+    got = write_partitioned(many, out, n_shards=8)
+    [event] = [e for e in gates.drain() if e["gate"] == "exchange_coalesce"]
+    assert event["path"] == "repartition"
+    assert (event["blocks_in"], event["blocks_out"]) == (32, 4)
+
+    def _by_partition(m):
+        return m.set_index("partition_id")[["rows", "key_hash"]].sort_index()
+
+    pd.testing.assert_frame_equal(_by_partition(got), _by_partition(want))
+    mtimes = {
+        p: os.path.getmtime(f"{out}/part={p}/data.parquet")
+        for p in committed_partitions(out)
+    }
+    assert len(write_partitioned(many, out, n_shards=8)) == 0
+    for p, t in mtimes.items():
+        assert os.path.getmtime(f"{out}/part={p}/data.parquet") == t
+
+
 def _peak_overlap(spans: list[tuple[float, float]]) -> int:
     events = sorted([(s, 1) for s, _ in spans] + [(e, -1) for _, e in spans])
     peak = live = 0

@@ -1,5 +1,6 @@
 """``functions/exchange.py``: the bounded shard exchange behind the
-keyed dedup, curation and transcript-hygiene queries."""
+keyed dedup, curation and transcript-hygiene queries, and ``coalesce``,
+which sizes the hot-path exchanges from their materialized input."""
 
 import re
 
@@ -8,7 +9,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from weakscraper_ray.functions.exchange import SHARDS, by_shard, shard_of
+from weakscraper_ray.functions import gates
+from weakscraper_ray.functions.exchange import SHARDS, by_shard, coalesce, shard_of
 
 
 def test_by_shard_output_unions_with_arrow(ray_session):
@@ -135,3 +137,40 @@ def test_shard_of_colocates_each_key(table, key):
     per_key = df.groupby(key)["shard"].nunique()
     assert (per_key == 1).all()
     assert df["shard"].nunique() > 1
+
+
+def _coalesce_events() -> list[dict]:
+    return [e for e in gates.drain() if e["gate"] == "exchange_coalesce"]
+
+
+def _blocks_of(n: int):
+    import ray.data
+
+    return ray.data.from_arrow([
+        pa.table({"k": pa.array(np.arange(i * 10, i * 10 + 10), pa.int64())})
+        for i in range(n)
+    ]).materialize()
+
+
+def test_coalesce_merges_many_blocks_to_cpus(ray_session):
+    """A 32-block input of a few kB comes back as one block per CPU of
+    the 4-CPU session, holding the same rows."""
+    mat = _blocks_of(32)
+    assert mat.num_blocks() == 32
+    gates.drain()
+    out = coalesce(mat).materialize()
+    assert out.num_blocks() == 4
+    assert sorted(out.to_pandas()["k"]) == list(range(320))
+    [event] = _coalesce_events()
+    assert event["path"] == "repartition"
+    assert (event["blocks_in"], event["blocks_out"]) == (32, 4)
+    assert event["bytes"] == mat.size_bytes()
+
+
+def test_coalesce_keeps_few_blocks_as_is(ray_session):
+    mat = _blocks_of(3)
+    gates.drain()
+    assert coalesce(mat) is mat
+    [event] = _coalesce_events()
+    assert event["path"] == "as_is"
+    assert (event["blocks_in"], event["blocks_out"]) == (3, 3)

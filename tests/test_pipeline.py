@@ -188,6 +188,29 @@ def test_ordered_blocks_carry_full_schema(tiny_dir, tmp_path):
         assert [b.schema.names for b in blocks] == [want] * len(blocks)
 
 
+def test_many_block_input_is_coalesced_before_the_sort(tiny_dir):
+    """``tiny``'s extract output, repartitioned to 32 blocks, reaches the
+    sort as one block per CPU of the 4-CPU session (the gate record
+    says so), and the output is still totally ordered and oracle-equal.
+    """
+    from weakscraper_ray.functions import gates
+    from weakscraper_ray.pipelines import read_transcripts, extraction_pipeline
+    from weakscraper_ray.stages.ordering import restore_order
+
+    many = extraction_pipeline(
+        read_transcripts(tiny_dir), batch_size=64, restore_ordering=False
+    ).repartition(32).materialize()
+    assert many.num_blocks() == 32
+    gates.drain()
+    out = _arrival_order(restore_order(many))
+    [event] = [e for e in gates.drain() if e["gate"] == "exchange_coalesce"]
+    assert event["path"] == "repartition"
+    assert (event["blocks_in"], event["blocks_out"]) == (32, 4)
+    assert out.num_rows == 119
+    assert _order_problems(out) == []
+    _assert_matches_oracle(out, pq.read_table(f"{tiny_dir}/expected.parquet"))
+
+
 def test_metrics_populated(extracted_df):
     ok = extracted_df[extracted_df["status"] == "ok"]
     assert (ok["nodes_matched"] > 0).all()

@@ -14,6 +14,9 @@ block unioned with Arrow blocks fails the next exchange or map with
 ``AssertionError (BlockType.ARROW, BlockType.PANDAS)``; an int column
 that pandas degraded to float (an int64 column with nulls) raises here
 instead of rounding ids above 2^53.
+
+``coalesce`` sizes the hot-path exchanges (the ordering sort and the
+checkpointed sink's shard groupby) from their materialized input.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..stages.ordering import _conv_hash
+from . import gates
 
 #: exchange partition count: a property of the engine, not of a query
 SHARDS = 256
@@ -94,3 +98,27 @@ def by_shard(ds, key, fold, schema: pa.Schema, batch_format: str = "pandas"):
     ]
     keyed = first.union(*rest) if rest else first
     return keyed.groupby(_COL).map_groups(_fold, batch_format=batch_format)
+
+
+def coalesce(mat):
+    """``mat`` (a materialized Dataset) merged to ``k`` blocks when it
+    holds more, where ``k = max(CPUs, ceil(bytes / target_max_block_size))``.
+
+    Ray Data's sort and groupby run one map and one reducer per input
+    block, so their cost grows with the square of the block count, not
+    with rows. ``k`` gives each reducer at most about one target block
+    and every CPU at least one reducer. The block count, bytes and CPUs
+    come from metadata, so nothing is read. ``repartition(k)`` splits
+    and merges blocks without a shuffle. The decision is recorded as
+    gate ``exchange_coalesce``."""
+    import ray
+    from ray.data import DataContext
+
+    n, nbytes = mat.num_blocks(), mat.size_bytes() or 0
+    target = DataContext.get_current().target_max_block_size
+    k = max(int(ray.cluster_resources().get("CPU", 1)),
+            -(-nbytes // target) if target else 0)
+    path = "repartition" if n > k else "as_is"
+    gates.record("exchange_coalesce", path, blocks_in=n,
+                 blocks_out=min(n, k), bytes=nbytes)
+    return mat.repartition(k) if n > k else mat

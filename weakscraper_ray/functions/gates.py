@@ -28,8 +28,9 @@ _DROPPED = 0
 
 def record(gate: str, path: str, **sizes) -> None:
     """Record one gate decision: which helper, which path it chose
-    (``broadcast`` / ``exchange`` / ``driver`` / ``distributed``), and
-    the measured set sizes that drove the choice."""
+    (``broadcast`` / ``exchange`` / ``driver`` / ``distributed``, or
+    ``repartition`` / ``as_is`` for ``exchange.coalesce``), and the
+    measured set sizes that drove the choice."""
     global _DROPPED
     _EVENTS.append({"gate": gate, "path": path, **sizes})
     if len(_EVENTS) > _EVENTS_MAX:

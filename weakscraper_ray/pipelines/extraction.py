@@ -5,14 +5,19 @@
       (→ prune_committed)                     [sink resume: drop committed shards]
       → map_batches(Extractor(...), tasks)    [C1..C4, zero-copy Arrow]
       → restore_order: materialize() barrier,
-        then sort by (conv_id, turn_idx)      [R3/R4 range-partitioned sort]
+        coalesce, then sort by
+        (conv_id, turn_idx)                   [R3/R4 range-partitioned sort]
       or
       → write_partitioned(fmt): materialize()
-        barrier, then groupby(shard), one
-        atomic part + manifest per shard      [S3 checkpointed sink]
+        barrier, coalesce, then
+        groupby(shard), one atomic part +
+        manifest per shard                    [S3 checkpointed sink]
 
 Either path has one wide exchange, behind one barrier: extraction runs
 on every CPU before the exchange starts (``stages/ordering.py``).
+``coalesce`` (``functions/exchange.py``) sizes the exchange from the
+barrier's block metadata: ``max(CPUs, bytes / target_max_block_size)``
+blocks, so its cost follows the input's bytes, not its block count.
 
 Nothing here calls ``ray.init`` — the driver/bench/tests own sessions.
 """

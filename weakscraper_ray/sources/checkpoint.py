@@ -32,6 +32,7 @@ import os
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.exchange import coalesce
 from .formats import FORMATS, format_of
 
 
@@ -210,10 +211,14 @@ def write_partitioned(ds, out_dir: str, n_shards: int = 16, resume: bool = True,
     operator resource reservation leaves the extract stage about one
     task slot. Behind the barrier extraction runs on every CPU; the
     cost is that the sink's input stays pinned in the object store
-    until the manifests return. Pruning stays upstream of the barrier,
-    so a resume still skips committed shards before extraction. Each
-    group writes its own partition in the worker, so only the manifest
-    rows come back. ``has_shard=True`` when the caller already ran
+    until the manifests return. ``coalesce`` then merges the
+    materialized input to ``max(CPUs, bytes / target_max_block_size)``
+    blocks (``functions/exchange.py``): the groupby's sort-based shuffle
+    costs the square of its input block count, and at least one block
+    per CPU keeps every CPU writing partitions. Pruning stays upstream
+    of the barrier, so a resume still skips committed shards before
+    extraction. Each group writes its own partition in the worker, so
+    only the manifest rows come back. ``has_shard=True`` when the caller already ran
     prune_committed upstream (pre-extract).
     ``_chaos_write_hook(shard, phase)`` is the fault-injection seam
     (phases ``pre_data`` / ``pre_manifest``) used by the crash-atomicity
@@ -230,7 +235,7 @@ def write_partitioned(ds, out_dir: str, n_shards: int = 16, resume: bool = True,
     # the hook rides the closure (serialized with it), so fault
     # injection reaches the WORKER executing the write — a driver-side
     # monkeypatch would not (workers import the module fresh)
-    manifests = ds.materialize().groupby("shard").map_groups(
+    manifests = coalesce(ds.materialize()).groupby("shard").map_groups(
         lambda g: _write_one_partition(
             g, out_dir, fmt=fmt, chaos_hook=_chaos_write_hook
         ),

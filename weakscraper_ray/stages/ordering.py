@@ -12,13 +12,19 @@ barrier:
   operator resource reservation sets CPUs aside for the stages still
   waiting behind the sort and leaves the extract stage about one task
   slot.
+- Behind the barrier the input's block count and bytes are known from
+  block metadata, and ``functions/exchange.py::coalesce`` merges it to
+  ``max(CPUs, bytes / target_max_block_size)`` blocks. Ray Data's sort
+  runs one map and one reducer per input block, so its cost grows with
+  the square of the block count, not with rows: on 4 CPUs, 1.1M rows
+  in 320 blocks sorted in 59 s, and in 2.8 s once coalesced.
 - The sort range-partitions on sampled ``(conv_id, turn_idx)``
-  boundaries, so a hot conversation is split at turn boundaries into
-  contiguous turn ranges held by different reducers: one conversation's
-  skew cannot make a partition unbounded, with no salt column and no
-  pre-pass to find hot conversations. Every conversation is one
-  turn-ascending run, and blocks arrive in key order: the output is
-  totally ordered.
+  boundaries into as many reducers as coalesced blocks, so each reducer
+  gets at most about one target block whatever the key skew: a hot
+  conversation is split at turn boundaries into contiguous turn ranges
+  held by different reducers, with no salt column and no pre-pass to
+  find hot conversations. Every conversation is one turn-ascending run,
+  and blocks arrive in key order: the output is totally ordered.
 
 ``_conv_hash`` is the conversation hash that the checkpointed sink and
 the curation stages partition by.
@@ -75,10 +81,15 @@ def add_shard_salt(n_shards: int, turns_per_group: int = DEFAULT_TURNS_PER_GROUP
 
 
 def restore_order(ds):
-    """Materialize ``ds``, then sort it totally by (conv_id, turn_idx).
+    """Materialize ``ds``, coalesce it (``functions/exchange.py``), then
+    sort it totally by (conv_id, turn_idx).
 
     Runs the upstream plan when called; the returned Dataset holds the
-    sort lazily. Hot conversations split across reducers at turn
+    coalesce and the sort lazily. The sort has one reducer per
+    coalesced block, so each reducer gets at most about one target
+    block, and hot conversations split across reducers at turn
     boundaries (see the module docstring).
     """
-    return ds.materialize().sort(["conv_id", "turn_idx"])
+    from ..functions.exchange import coalesce  # exchange imports this module
+
+    return coalesce(ds.materialize()).sort(["conv_id", "turn_idx"])
